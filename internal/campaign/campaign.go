@@ -29,8 +29,9 @@
 //
 //   - *Cooperative cancellation.* Each job owns a context that Cancel
 //     fires. The context threads through registry.Experiment.Run into
-//     runner.MapCtx, so cancelling a running grid experiment frees its
-//     worker at the next trial boundary instead of after the whole sweep.
+//     runner.Map and runner.MapWithResource, so cancelling a running
+//     grid experiment frees its worker at the next trial boundary
+//     instead of after the whole sweep.
 //
 // Job lifecycle: queued → running → done | failed | cancelled. Every
 // transition (and every per-run completion) appends an Event; subscribers

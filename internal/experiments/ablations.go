@@ -40,14 +40,9 @@ type ProbeSweepResult struct {
 // that prefix once, captures a copy-on-write snapshot, and restores it
 // per cell; only the Volt Boot tail re-runs. Rows come back in sweep
 // order regardless of scheduling, bit-identical to fresh-board cells.
-func ProbeCurrentSweep(seed uint64) (*ProbeSweepResult, error) {
-	return ProbeCurrentSweepCtx(context.Background(), seed)
-}
-
-// ProbeCurrentSweepCtx is ProbeCurrentSweep with cooperative
-// cancellation: the sweep stops dispatching current-limit cells once ctx
-// is cancelled and returns ctx.Err().
-func ProbeCurrentSweepCtx(ctx context.Context, seed uint64) (*ProbeSweepResult, error) {
+// Once ctx is cancelled the sweep stops dispatching current-limit cells
+// and returns ctx.Err().
+func ProbeCurrentSweep(ctx context.Context, seed uint64) (*ProbeSweepResult, error) {
 	spec := soc.BCM2711()
 	limits := []float64{0.1, 0.25, 0.5, 1.0, 2.0, 2.4, 2.6, 3.0, 3.5, 4.0}
 	type fork struct {
@@ -127,28 +122,22 @@ func RetentionSweepOffTimes() []sim.Time {
 	return []sim.Time{1 * sim.Millisecond, 20 * sim.Millisecond, 100 * sim.Millisecond, 1 * sim.Second}
 }
 
-// RetentionSweep measures a 64 KB SRAM array's retention across the
-// default temperature/off-time grid. The grid is flattened to temp-major
-// index order and fanned across CPUs. Every cell needs the same-seed
-// array powered and filled with 0xA5 — and SRAM physics reads the
-// ambient temperature only when a rail drops (sram decay clocks), never
-// at power-up or fill — so each worker builds and fills the array once,
-// captures an ArraySnapshot, and per cell restores it, rewinds the
-// clock to the capture instant at the cell's temperature, and replays
-// only the outage. The table is bit-identical to the
-// array-per-cell nested loop it replaces.
-func RetentionSweep(seed uint64) *RetentionSweepResult {
-	// Background context + default grid cannot fail.
-	res, _ := RetentionSweepGridCtx(context.Background(), seed, RetentionSweepTemps(), RetentionSweepOffTimes())
-	return res
-}
-
-// RetentionSweepGridCtx is RetentionSweep over a caller-chosen grid (the
-// campaign registry's temps/offtimes overrides) with cooperative
-// cancellation. The default grid reproduces RetentionSweep byte for byte;
-// every cell still uses the same seed, so overriding the grid changes
-// which cells exist, never the silicon inside one.
-func RetentionSweepGridCtx(ctx context.Context, seed uint64, temps []float64, offTimes []sim.Time) (*RetentionSweepResult, error) {
+// RetentionSweep measures a 64 KB SRAM array's retention across a
+// temperature × off-time grid (RetentionSweepTemps ×
+// RetentionSweepOffTimes by default; the campaign registry's
+// temps/offtimes params override them). Every cell uses the same seed,
+// so overriding the grid changes which cells exist, never the silicon
+// inside one. The grid is flattened to temp-major index order and
+// fanned across CPUs. Every cell needs the same-seed array powered and
+// filled with 0xA5 — and SRAM physics reads the ambient temperature
+// only when a rail drops (sram decay clocks), never at power-up or fill
+// — so each worker builds and fills the array once, captures an
+// ArraySnapshot, and per cell restores it, rewinds the clock to the
+// capture instant at the cell's temperature, and replays only the
+// outage. The table is bit-identical to the array-per-cell nested loop
+// it replaces. Once ctx is cancelled the grid stops dispatching cells
+// and returns ctx.Err().
+func RetentionSweep(ctx context.Context, seed uint64, temps []float64, offTimes []sim.Time) (*RetentionSweepResult, error) {
 	res := &RetentionSweepResult{Temps: temps, OffTimes: offTimes}
 	type fork struct {
 		env    *sim.Env
@@ -227,7 +216,7 @@ type DRAMColdBootResult struct {
 // DRAMColdBoot stages an AES-128 key schedule in cooled DRAM, power
 // cycles, extracts the physical image, and reconstructs the master key
 // from the decayed schedule; then repeats the attempt against SRAM.
-func DRAMColdBoot(seed uint64) (*DRAMColdBootResult, error) {
+func DRAMColdBoot(_ context.Context, seed uint64) (*DRAMColdBootResult, error) {
 	spec := soc.BCM2711()
 	b, env, err := newBoard(spec, soc.Options{}, seed)
 	if err != nil {

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // End-to-end experiment benchmarks for the execution fast path. These
 // run the same entry points the golden determinism tests pin, so any
@@ -21,7 +24,7 @@ import "testing"
 // boot, AES key schedule into L1I-adjacent state, power cycle, extract.
 func BenchmarkFigure7ColdBoot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure7(testSeed); err != nil {
+		if _, err := Figure7(context.Background(), testSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +38,7 @@ func BenchmarkFigure7ColdBoot(b *testing.B) {
 // predecoded i-stream and zero-copy cache paths.
 func BenchmarkFigure8OSScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure8(testSeed); err != nil {
+		if _, err := Figure8(context.Background(), testSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +51,7 @@ func BenchmarkFigure8OSScenario(b *testing.B) {
 // model and the analysis-side element matching together.
 func BenchmarkTable4ArraySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Table4(testSeed); err != nil {
+		if _, err := Table4(context.Background(), testSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,8 +65,6 @@ func BenchmarkTable4ArraySweep(b *testing.B) {
 // the fault-injection engine's overhead.
 func BenchmarkGlitchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := GlitchSearch(testSeed); err != nil {
-			b.Fatal(err)
-		}
+		defaultGlitchSearch(b)
 	}
 }

@@ -51,14 +51,9 @@ type Table1Result struct {
 // temperature order and the snapshot restore is bit-exact, so the
 // rendered table is byte-identical to the fresh-board-per-column code it
 // replaces (TestTable1DeterministicAcrossWorkers and the golden pin).
-func Table1(seed uint64) (*Table1Result, error) {
-	return Table1Ctx(context.Background(), seed)
-}
-
-// Table1Ctx is Table1 with cooperative cancellation: the temperature grid
-// stops dispatching columns once ctx is cancelled and the call returns
-// ctx.Err(). The success path is byte-identical to Table1.
-func Table1Ctx(ctx context.Context, seed uint64) (*Table1Result, error) {
+// Once ctx is cancelled the grid stops dispatching columns and the call
+// returns ctx.Err().
+func Table1(ctx context.Context, seed uint64) (*Table1Result, error) {
 	temps := []struct {
 		c    float64
 		note string
@@ -184,7 +179,7 @@ type Figure3Result struct {
 }
 
 // Figure3 cold-boots a pattern-filled d-cache at −40 °C and renders WAY0.
-func Figure3(seed uint64) (*Figure3Result, error) {
+func Figure3(_ context.Context, seed uint64) (*Figure3Result, error) {
 	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err

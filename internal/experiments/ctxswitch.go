@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"repro/internal/aes"
@@ -32,7 +33,7 @@ type ContextSwitchRun struct {
 // ContextSwitchLeak schedules a "crypto" process (round key in V1) and a
 // "browser" process (vector registers full of junk) on one core, cuts
 // power at several points, and runs the register attack each time.
-func ContextSwitchLeak(seed uint64) (*ContextSwitchResult, error) {
+func ContextSwitchLeak(_ context.Context, seed uint64) (*ContextSwitchResult, error) {
 	key := []byte("scheduler lottery")[:16]
 	sched, err := aes.ExpandKey128(key)
 	if err != nil {

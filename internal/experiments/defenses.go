@@ -98,15 +98,10 @@ type defenseScenario struct {
 // proposed defense, reporting whether Volt Boot still works. Every
 // scenario attacks its own freshly built same-seed board, so the eight
 // rows are independent trials fanned across CPUs by runner.Map; the
-// survey order is fixed by the scenario table, not by scheduling.
-func Countermeasures(seed uint64) (*CountermeasuresResult, error) {
-	return CountermeasuresCtx(context.Background(), seed)
-}
-
-// CountermeasuresCtx is Countermeasures with cooperative cancellation:
-// the survey stops dispatching scenarios once ctx is cancelled and
-// returns ctx.Err().
-func CountermeasuresCtx(ctx context.Context, seed uint64) (*CountermeasuresResult, error) {
+// survey order is fixed by the scenario table, not by scheduling. Once
+// ctx is cancelled the survey stops dispatching scenarios and returns
+// ctx.Err().
+func Countermeasures(ctx context.Context, seed uint64) (*CountermeasuresResult, error) {
 	scenarios := []defenseScenario{
 		{name: "none (baseline)"},
 		{name: "purge on orderly shutdown"},
@@ -126,7 +121,7 @@ func CountermeasuresCtx(ctx context.Context, seed uint64) (*CountermeasuresResul
 		{name: "mandated authenticated boot", opts: soc.Options{AuthenticatedBoot: true},
 			expectedFailure: "extraction payload refused by boot chain"},
 	}
-	outcomes, err := runner.MapCtx(ctx, len(scenarios), runtime.GOMAXPROCS(0), func(i int) (DefenseOutcome, error) {
+	outcomes, err := runner.Map(ctx, len(scenarios), runtime.GOMAXPROCS(0), func(i int) (DefenseOutcome, error) {
 		sc := scenarios[i]
 		o, err := runDefendedAttack(seed, sc.opts, sc.secureVictim, sc.orderly)
 		if err != nil {

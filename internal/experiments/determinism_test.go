@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
@@ -12,7 +13,7 @@ import (
 // seed must render the same bytes whether the trial cells run on one
 // worker or many. These tests pin that contract.
 
-// table1GoldenSHA256 is the SHA-256 of Table1(testSeed).String(). The
+// table1GoldenSHA256 is the SHA-256 of Table1(ctx, testSeed).String(). The
 // value was captured on the pre-vectorization scalar tree (commit
 // cfacbf8) and must survive both the word-vectorized decay kernels and
 // the parallel runner: the physics stream is part of the repo's
@@ -43,7 +44,7 @@ func sha256Hex(s string) string {
 // L1 I-cache extraction experiment are byte-identical to the
 // pre-fast-path golden output.
 func TestFigure7GoldenSeed(t *testing.T) {
-	panels, err := Figure7(testSeed)
+	panels, err := Figure7(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFigure7GoldenSeed(t *testing.T) {
 // TestFigure8GoldenSeed: the OS-scenario L1D/L2 extraction rendering is
 // byte-identical to the pre-fast-path golden output.
 func TestFigure8GoldenSeed(t *testing.T) {
-	res, err := Figure8(testSeed)
+	res, err := Figure8(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTable4GoldenSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full attack run per on-chip array")
 	}
-	res, err := Table4(testSeed)
+	res, err := Table4(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +97,31 @@ func withGOMAXPROCS(t *testing.T, n int, f func()) {
 	f()
 }
 
+// defaultRetentionSweep runs Ablation B over its default grid.
+func defaultRetentionSweep(t testing.TB) *RetentionSweepResult {
+	t.Helper()
+	res, err := RetentionSweep(context.Background(), testSeed, RetentionSweepTemps(), RetentionSweepOffTimes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// defaultGlitchSearch runs the glitch search over its default axes with
+// the catalog's default 6 trials per cell.
+func defaultGlitchSearch(t testing.TB) *GlitchSearchResult {
+	t.Helper()
+	res, err := GlitchSearch(context.Background(), testSeed,
+		GlitchSearchOffsets(), GlitchSearchWidths(), GlitchSearchDepths(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func table1Render(t *testing.T) string {
 	t.Helper()
-	res, err := Table1(testSeed)
+	res, err := Table1(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +154,8 @@ func TestTable1DeterministicAcrossWorkers(t *testing.T) {
 // grid is likewise invariant under fan-out.
 func TestRetentionSweepDeterministicAcrossWorkers(t *testing.T) {
 	var serial, parallel string
-	withGOMAXPROCS(t, 1, func() { serial = RetentionSweep(testSeed).String() })
-	withGOMAXPROCS(t, 4, func() { parallel = RetentionSweep(testSeed).String() })
+	withGOMAXPROCS(t, 1, func() { serial = defaultRetentionSweep(t).String() })
+	withGOMAXPROCS(t, 4, func() { parallel = defaultRetentionSweep(t).String() })
 	if serial != parallel {
 		t.Fatalf("RetentionSweep output depends on worker count:\n1 worker:\n%s\n4 workers:\n%s", serial, parallel)
 	}
@@ -144,11 +167,7 @@ func TestRetentionSweepDeterministicAcrossWorkers(t *testing.T) {
 // scheduling leave no fingerprint in the map.
 func TestGlitchSearchDeterministicAcrossWorkers(t *testing.T) {
 	render := func() string {
-		r, err := GlitchSearch(testSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.String()
+		return defaultGlitchSearch(t).String()
 	}
 	var serial, parallel string
 	withGOMAXPROCS(t, 1, func() { serial = render() })
@@ -165,7 +184,7 @@ func TestCountermeasuresDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("eight full attack runs, twice")
 	}
 	render := func() string {
-		res, err := Countermeasures(testSeed)
+		res, err := Countermeasures(context.Background(), testSeed)
 		if err != nil {
 			t.Fatal(err)
 		}

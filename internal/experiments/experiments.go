@@ -3,6 +3,16 @@
 // adds. Each experiment is a pure function of a seed: same seed, same
 // rows. Each result type renders itself as text in the shape of the
 // paper's table or figure.
+//
+// Every simulating experiment has one shape:
+//
+//	func X(ctx context.Context, seed uint64, <typed axes>…) (*XResult, error)
+//
+// Experiments that fan trials out through runner stop dispatching once
+// ctx is cancelled and return ctx.Err(); single-board experiments take
+// ctx for the uniform signature and run to completion. Only the static
+// tables Table2, Table3 and Figure6, which simulate nothing, take no
+// arguments.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ const testSeed = 0x5EED
 // Table 1's shape: ~50% error at every achievable temperature, and the
 // post-cycle state close to the startup fingerprint.
 func TestTable1Shape(t *testing.T) {
-	res, err := Table1(testSeed)
+	res, err := Table1(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(testSeed)
+	res, err := Figure3(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTable2And3Content(t *testing.T) {
 }
 
 func TestFigure4And6Render(t *testing.T) {
-	f4, err := Figure4(testSeed)
+	f4, err := Figure4(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestFigure4And6Render(t *testing.T) {
 }
 
 func TestFigure5Steps(t *testing.T) {
-	res, err := Figure5(testSeed)
+	res, err := Figure5(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFigure5Steps(t *testing.T) {
 
 // Figure 7: 100% retention accuracy on all cores of both Broadcom SoCs.
 func TestFigure7Shape(t *testing.T) {
-	results, err := Figure7(testSeed)
+	results, err := Figure7(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	res, err := Figure8(testSeed)
+	res, err := Figure8(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 4 is the heavyweight experiment")
 	}
-	res, err := Table4(testSeed)
+	res, err := Table4(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestSection72Shape(t *testing.T) {
-	res, err := Section72(testSeed, soc.BCM2711())
+	res, err := Section72(context.Background(), testSeed, soc.BCM2711())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestSection72Shape(t *testing.T) {
 }
 
 func TestAccessibilityShape(t *testing.T) {
-	res, err := Accessibility(testSeed)
+	res, err := Accessibility(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestAccessibilityShape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	res, err := Figure9(testSeed)
+	res, err := Figure9(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	res, err := Figure10(testSeed)
+	res, err := Figure10(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestCountermeasuresShape(t *testing.T) {
-	res, err := Countermeasures(testSeed)
+	res, err := Countermeasures(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestCountermeasuresShape(t *testing.T) {
 }
 
 func TestProbeCurrentSweepShape(t *testing.T) {
-	res, err := ProbeCurrentSweep(testSeed)
+	res, err := ProbeCurrentSweep(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestProbeCurrentSweepShape(t *testing.T) {
 }
 
 func TestRetentionSweepShape(t *testing.T) {
-	res := RetentionSweep(testSeed)
+	res := defaultRetentionSweep(t)
 	// Colder is better at fixed off-time; longer is worse at fixed temp.
 	for oi := range res.OffTimes {
 		for ti := 1; ti < len(res.Temps); ti++ {
@@ -361,7 +362,7 @@ func TestRetentionSweepShape(t *testing.T) {
 }
 
 func TestDRAMColdBootShape(t *testing.T) {
-	res, err := DRAMColdBoot(testSeed)
+	res, err := DRAMColdBoot(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,10 @@ func TestDRAMColdBootShape(t *testing.T) {
 }
 
 func TestImprintBaselineShape(t *testing.T) {
-	res := ImprintBaseline(testSeed)
+	res, err := ImprintBaseline(context.Background(), testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.VoltBootAccuracy != 1.0 {
 		t.Errorf("Volt Boot accuracy = %v, want 1.0", res.VoltBootAccuracy)
 	}
@@ -399,7 +403,7 @@ func TestImprintBaselineShape(t *testing.T) {
 }
 
 func TestHistoryTheftShape(t *testing.T) {
-	res, err := HistoryTheft(testSeed)
+	res, err := HistoryTheft(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +419,7 @@ func TestCaSELockShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy workload")
 	}
-	res, err := CaSELock(testSeed)
+	res, err := CaSELock(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +432,7 @@ func TestCaSELockShape(t *testing.T) {
 }
 
 func TestWarmRebootShape(t *testing.T) {
-	res, err := WarmReboot(testSeed)
+	res, err := WarmReboot(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +448,7 @@ func TestWarmRebootShape(t *testing.T) {
 }
 
 func TestContextSwitchLeakShape(t *testing.T) {
-	res, err := ContextSwitchLeak(testSeed)
+	res, err := ContextSwitchLeak(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,25 +475,28 @@ func TestContextSwitchLeakShape(t *testing.T) {
 }
 
 func TestExtensionRenderersContainKeyFacts(t *testing.T) {
-	imprint := ImprintBaseline(testSeed)
+	imprint, err := ImprintBaseline(context.Background(), testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out := imprint.String(); !strings.Contains(out, "Volt Boot") || !strings.Contains(out, "years") {
 		t.Errorf("imprint rendering: %s", out)
 	}
-	wr, err := WarmReboot(testSeed)
+	wr, err := WarmReboot(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := wr.String(); !strings.Contains(out, "TCG") || !strings.Contains(out, "RECOVERED") {
 		t.Errorf("warm reboot rendering: %s", out)
 	}
-	cs, err := ContextSwitchLeak(testSeed)
+	cs, err := ContextSwitchLeak(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := cs.String(); !strings.Contains(out, "crypto") || !strings.Contains(out, "STOLEN") {
 		t.Errorf("context switch rendering: %s", out)
 	}
-	ht, err := HistoryTheft(testSeed)
+	ht, err := HistoryTheft(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +506,7 @@ func TestExtensionRenderersContainKeyFacts(t *testing.T) {
 }
 
 func TestPUFCloneShape(t *testing.T) {
-	res, err := PUFClone(testSeed)
+	res, err := PUFClone(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +525,7 @@ func TestPUFCloneShape(t *testing.T) {
 }
 
 func TestMCUAttackShape(t *testing.T) {
-	res, err := MCUAttack(testSeed)
+	res, err := MCUAttack(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -34,7 +35,7 @@ type ImprintResult struct {
 // ImprintBaseline ages an SRAM array holding a secret for increasing
 // durations and measures how much a power-up readout reveals, then
 // contrasts with a held-rail readout.
-func ImprintBaseline(seed uint64) *ImprintResult {
+func ImprintBaseline(_ context.Context, seed uint64) (*ImprintResult, error) {
 	res := &ImprintResult{}
 	for _, years := range []float64{0, 1, 2, 5, 10, 20} {
 		env := sim.NewEnv()
@@ -61,7 +62,7 @@ func ImprintBaseline(seed uint64) *ImprintResult {
 	data := arr.Snapshot()
 	env.Advance(sim.Second)
 	res.VoltBootAccuracy = analysis.RetentionAccuracy(data, arr.Snapshot())
-	return res
+	return res, nil
 }
 
 // String renders Ablation D.
@@ -139,7 +140,7 @@ func pinFromSlot(slot int) (int, int, bool) {
 // touching one page per digit (a classic secret-dependent table lookup);
 // the attacker Volt Boots and dumps the TLB via RAMINDEX, reading the
 // touched page numbers straight out of retained microarchitectural state.
-func HistoryTheft(seed uint64) (*HistoryTheftResult, error) {
+func HistoryTheft(_ context.Context, seed uint64) (*HistoryTheftResult, error) {
 	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
@@ -214,7 +215,7 @@ type MCUAttackResult struct {
 
 // MCUAttack stages firmware state in the MCU's SRAM main memory, runs the
 // Volt Boot flow against the SRAM domain pad, and measures availability.
-func MCUAttack(seed uint64) (*MCUAttackResult, error) {
+func MCUAttack(_ context.Context, seed uint64) (*MCUAttackResult, error) {
 	spec := soc.GenericMCU()
 	b, _, err := newBoard(spec, soc.Options{}, seed)
 	if err != nil {
@@ -276,7 +277,7 @@ type CaSELockResult struct {
 // CaSELock stages a 16 KB "plaintext crypto binary" (one full way) in the
 // d-cache, optionally locks that way, runs a noisy kernel workload, and
 // extracts.
-func CaSELock(seed uint64) (*CaSELockResult, error) {
+func CaSELock(_ context.Context, seed uint64) (*CaSELockResult, error) {
 	run := func(locked bool) (float64, error) {
 		spec := soc.BCM2711()
 		b, _, err := newBoard(spec, soc.Options{}, seed)

@@ -214,7 +214,7 @@ func glitchScenario(seed uint64, name string, attempts int,
 // GlitchBootCheckSkip reproduces the check-skip bypass: skipping the
 // verifier's final CMP inherits the Z flag still set from the hash
 // loop's exit compare, so the mismatch branch falls through.
-func GlitchBootCheckSkip(seed uint64) (*GlitchScenarioResult, error) {
+func GlitchBootCheckSkip(_ context.Context, seed uint64) (*GlitchScenarioResult, error) {
 	return glitchScenario(seed, "check-skip", 24,
 		func(r *glitch.BootROM) uint64 { return r.CheckPC }, isa.FaultSkip)
 }
@@ -222,7 +222,7 @@ func GlitchBootCheckSkip(seed uint64) (*GlitchScenarioResult, error) {
 // GlitchBootVerifyBypass reproduces the verify-bypass: the digest
 // mismatch is fully computed, and the wrong-branch fault inverts the
 // B.NE so the lock-down path is never taken.
-func GlitchBootVerifyBypass(seed uint64) (*GlitchScenarioResult, error) {
+func GlitchBootVerifyBypass(_ context.Context, seed uint64) (*GlitchScenarioResult, error) {
 	return glitchScenario(seed, "verify-bypass", 24,
 		func(r *glitch.BootROM) uint64 { return r.BranchPC }, isa.FaultWrongBranch)
 }
@@ -250,12 +250,6 @@ type GlitchSearchResult struct {
 	Cells  []GlitchCell `json:"cells"`
 }
 
-// GlitchSearch runs the default search grid.
-func GlitchSearch(seed uint64) (*GlitchSearchResult, error) {
-	return GlitchSearchCtx(context.Background(), seed,
-		GlitchSearchOffsets(), GlitchSearchWidths(), GlitchSearchDepths(), 6)
-}
-
 // GlitchSearchOffsets is the default offset axis: instruction offsets
 // from the hash-done trigger spanning the whole verify tail (the final
 // CMP sits at offset 4, the B.NE at 5).
@@ -269,13 +263,13 @@ func GlitchSearchWidths() []uint64 { return []uint64{1, 2, 4} }
 // collapse threshold.
 func GlitchSearchDepths() []float64 { return []float64{0.15, 0.30, 0.45} }
 
-// GlitchSearchCtx Monte-Carlo searches the (offset × width × depth)
+// GlitchSearch Monte-Carlo searches the (offset × width × depth)
 // space: every cell fires trials shots at the verify tail (trigger: the
 // first fetch after the hash loop), each with a fresh derived seed, and
 // tallies the outcomes. Deterministic: same seed and axes, same map,
 // independent of GOMAXPROCS — trial outcomes are pure functions of the
 // per-trial seed and are reassembled in index order.
-func GlitchSearchCtx(ctx context.Context, seed uint64,
+func GlitchSearch(ctx context.Context, seed uint64,
 	offsets, widths []uint64, depths []float64, trials int) (*GlitchSearchResult, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("glitch search: trials must be positive, got %d", trials)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,7 +33,7 @@ type Figure9Result struct {
 }
 
 // Figure9 stages the bitmap, runs the attack, and scores each quadrant.
-func Figure9(seed uint64) (*Figure9Result, error) {
+func Figure9(_ context.Context, seed uint64) (*Figure9Result, error) {
 	spec := soc.IMX53()
 	b, _, err := newBoard(spec, soc.Options{}, seed)
 	if err != nil {
@@ -105,8 +106,8 @@ type Figure10Result struct {
 }
 
 // Figure10 derives the HD profile from a fresh Figure 9 run.
-func Figure10(seed uint64) (*Figure10Result, error) {
-	f9, err := Figure9(seed)
+func Figure10(ctx context.Context, seed uint64) (*Figure10Result, error) {
+	f9, err := Figure9(ctx, seed)
 	if err != nil {
 		return nil, err
 	}

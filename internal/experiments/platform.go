@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -115,7 +116,7 @@ type Figure4Result struct {
 
 // Figure4 renders each board's power-supply structure: regulator
 // topology (buck vs LDO), domains, loads and pads.
-func Figure4(seed uint64) (*Figure4Result, error) {
+func Figure4(_ context.Context, seed uint64) (*Figure4Result, error) {
 	res := &Figure4Result{Descriptions: map[string]string{}}
 	for _, spec := range soc.Catalog() {
 		b, _, err := newBoard(spec, soc.Options{}, seed)
@@ -146,7 +147,7 @@ type Figure5Result struct {
 
 // Figure5 executes a reference Volt Boot run and returns the §6.1 step
 // trace the paper summarizes in Figure 5.
-func Figure5(seed uint64) (*Figure5Result, error) {
+func Figure5(_ context.Context, seed uint64) (*Figure5Result, error) {
 	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err

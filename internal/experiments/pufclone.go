@@ -50,14 +50,9 @@ func extractPowerUpWay0(b interface {
 // The parallel unit is the chip, not the read: successive extractions of
 // one chip share its board and rng stream (each power cycle advances the
 // silicon's noise state), so they must stay serial, but the two chips are
-// independent silicon and fan out via runner.Map.
-func PUFClone(seed uint64) (*PUFCloneResult, error) {
-	return PUFCloneCtx(context.Background(), seed)
-}
-
-// PUFCloneCtx is PUFClone with cooperative cancellation: the per-chip
-// fan-out stops dispatching once ctx is cancelled and returns ctx.Err().
-func PUFCloneCtx(ctx context.Context, seed uint64) (*PUFCloneResult, error) {
+// independent silicon and fan out via runner.Map, which stops
+// dispatching once ctx is cancelled and returns ctx.Err().
+func PUFClone(ctx context.Context, seed uint64) (*PUFCloneResult, error) {
 	collect := func(chipSeed uint64, reads int) ([][]byte, error) {
 		b, env, err := newTrialBoard(soc.BCM2711(), soc.Options{}, chipSeed)
 		if err != nil {
@@ -89,7 +84,7 @@ func PUFCloneCtx(ctx context.Context, seed uint64) (*PUFCloneResult, error) {
 		{seed, 4},          // the chip under attack
 		{seed + 0xD1FF, 1}, // different silicon for the impostor score
 	}
-	images, err := runner.MapCtx(ctx, len(chips), runtime.GOMAXPROCS(0), func(i int) ([][]byte, error) {
+	images, err := runner.Map(ctx, len(chips), runtime.GOMAXPROCS(0), func(i int) ([][]byte, error) {
 		return collect(chips[i].seed, chips[i].reads)
 	})
 	if err != nil {

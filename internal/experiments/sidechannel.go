@@ -210,9 +210,9 @@ type TraceCaptureResult struct {
 	Set *SCATraceSet
 }
 
-// TraceCaptureCtx captures n victim traces and reports the capture
+// TraceCapture captures n victim traces and reports the capture
 // geometry plus per-trace power statistics.
-func TraceCaptureCtx(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*TraceCaptureResult, error) {
+func TraceCapture(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*TraceCaptureResult, error) {
 	set, err := captureTraceSet(ctx, seed, n, window, sigma, key)
 	if err != nil {
 		return nil, err
@@ -279,10 +279,10 @@ const (
 	spaThresholdFrac = 0.1
 )
 
-// SCASPACtx captures a small trace set and runs SPA: average the
+// SCASPA captures a small trace set and runs SPA: average the
 // traces, smooth, threshold, and match the bursts against the victim's
 // round schedule; then verify every trace aligns to trace 0 at lag 0.
-func SCASPACtx(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*SCASPAResult, error) {
+func SCASPA(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*SCASPAResult, error) {
 	set, err := captureTraceSet(ctx, seed, n, window, sigma, key)
 	if err != nil {
 		return nil, err
@@ -358,8 +358,8 @@ type SCACPAResult struct {
 	Window     int    `json:"window"`
 	// AttackWindow is the correlated prefix: the captured window
 	// clamped to the victim's round-0 extent.
-	AttackWindow int     `json:"attack_window"`
-	NoiseSigma   float64 `json:"noise_sigma"`
+	AttackWindow int            `json:"attack_window"`
+	NoiseSigma   float64        `json:"noise_sigma"`
 	TrueKey      string         `json:"true_key"`
 	RecoveredKey string         `json:"recovered_key"`
 	Recovered    bool           `json:"recovered"`
@@ -369,10 +369,10 @@ type SCACPAResult struct {
 	set *SCATraceSet
 }
 
-// SCACPACtx captures n traces of the victim under the given key and
+// SCACPA captures n traces of the victim under the given key and
 // runs the CPA attack over the first `window` samples, scoring the
 // recovery against the true key.
-func SCACPACtx(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*SCACPAResult, error) {
+func SCACPA(ctx context.Context, seed uint64, n, window int, sigma float64, key [16]byte) (*SCACPAResult, error) {
 	set, err := captureTraceSet(ctx, seed, n, window, sigma, key)
 	if err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func mustKey(t *testing.T) [16]byte {
 // the middle.
 func TestSCACPARecoversKey(t *testing.T) {
 	key := mustKey(t)
-	res, err := SCACPACtx(context.Background(), testSeed, 100, 256, 1.0, key)
+	res, err := SCACPA(context.Background(), testSeed, 100, 256, 1.0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSCACPARecoversKey(t *testing.T) {
 func TestSCACPADeterministicAcrossWorkers(t *testing.T) {
 	key := mustKey(t)
 	run := func() (string, []byte) {
-		res, err := SCACPACtx(context.Background(), testSeed, 24, 256, 0.5, key)
+		res, err := SCACPA(context.Background(), testSeed, 24, 256, 0.5, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestSCACPADeterministicAcrossWorkers(t *testing.T) {
 // the captured samples and plaintexts bit-for-bit.
 func TestTraceCaptureArtifactRoundTrip(t *testing.T) {
 	key := mustKey(t)
-	res, err := TraceCaptureCtx(context.Background(), testSeed, 6, 2048, 0.25, key)
+	res, err := TraceCapture(context.Background(), testSeed, 6, 2048, 0.25, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTraceCaptureArtifactRoundTrip(t *testing.T) {
 // every trace aligns to trace 0 at lag zero.
 func TestSCASPAFindsRounds(t *testing.T) {
 	key := mustKey(t)
-	res, err := SCASPACtx(context.Background(), testSeed, 4, 2048, 0.25, key)
+	res, err := SCASPA(context.Background(), testSeed, 4, 2048, 0.25, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 	}
 	defer func() { boardHook = prev }()
 
-	panels, err := Figure7(testSeed)
+	panels, err := Figure7(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 		t.Fatalf("armed tracing perturbed Figure7: sha256 = %s, want %s", got, figure7GoldenSHA256)
 	}
 
-	res8, err := Figure8(testSeed)
+	res8, err := Figure8(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	res4, err := Table4(testSeed)
+	res4, err := Table4(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

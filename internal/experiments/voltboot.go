@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/analysis"
@@ -34,9 +36,9 @@ type Figure7Result struct {
 // devices are fully independent trials — each builds its own quiet-env
 // board — so they fan out across CPUs; results come back in device
 // order, keeping the rendered panels byte-identical to the serial loop.
-func Figure7(seed uint64) ([]*Figure7Result, error) {
+func Figure7(ctx context.Context, seed uint64) ([]*Figure7Result, error) {
 	specs := []soc.DeviceSpec{soc.BCM2711(), soc.BCM2837()}
-	return runner.Map(len(specs), func(si int) (*Figure7Result, error) {
+	return runner.Map(ctx, len(specs), runtime.GOMAXPROCS(0), func(si int) (*Figure7Result, error) {
 		spec := specs[si]
 		b, _, err := newTrialBoard(spec, soc.Options{}, seed)
 		if err != nil {
@@ -128,7 +130,7 @@ type Figure8Result struct {
 // Figure8 boots a kernel, runs the 0xAA pattern application under
 // background noise on core 0, executes Volt Boot, and inspects the
 // extracted caches.
-func Figure8(seed uint64) (*Figure8Result, error) {
+func Figure8(_ context.Context, seed uint64) (*Figure8Result, error) {
 	spec := soc.BCM2711()
 	b, _, err := newBoard(spec, soc.Options{}, seed)
 	if err != nil {
@@ -261,14 +263,14 @@ func elemValue(coreID, i int) []byte {
 // (size-major, rep-minor) index order and are averaged serially, so the
 // rendered table is byte-identical to the nested serial loops it
 // replaces.
-func Table4(seed uint64) (*Table4Result, error) {
+func Table4(ctx context.Context, seed uint64) (*Table4Result, error) {
 	spec := soc.BCM2711()
 	res := &Table4Result{SizesKB: []int{4, 8, 16, 32}, Cores: spec.Cores, Reps: 3}
 	// tally is one repetition's per-core (W0, W1, union) hit counts.
 	type tally struct {
 		in0, in1, inU []int
 	}
-	cells, err := runner.Map(len(res.SizesKB)*res.Reps, func(idx int) (tally, error) {
+	cells, err := runner.Map(ctx, len(res.SizesKB)*res.Reps, runtime.GOMAXPROCS(0), func(idx int) (tally, error) {
 		sizeKB := res.SizesKB[idx/res.Reps]
 		rep := idx % res.Reps
 		n := sizeKB * 1024 / 8
@@ -413,7 +415,7 @@ type Section72Result struct {
 
 // Section72 fills v0..v31 with 0xAA/0xFF patterns on every core, runs
 // Volt Boot, and checks the register dump.
-func Section72(seed uint64, spec soc.DeviceSpec) (*Section72Result, error) {
+func Section72(_ context.Context, seed uint64, spec soc.DeviceSpec) (*Section72Result, error) {
 	b, _, err := newBoard(spec, soc.Options{}, seed)
 	if err != nil {
 		return nil, err
@@ -483,7 +485,7 @@ type AccessibilityResult struct {
 
 // Accessibility measures the boot-phase clobbering on both device
 // families.
-func Accessibility(seed uint64) (*AccessibilityResult, error) {
+func Accessibility(_ context.Context, seed uint64) (*AccessibilityResult, error) {
 	res := &AccessibilityResult{}
 
 	// Broadcom: L1 and L2 across a probed power cycle + boot.

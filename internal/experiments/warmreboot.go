@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -29,7 +30,7 @@ const warmRebootSecretOff = 0x150000
 // WarmReboot stages a DRAM secret, force-reboots into an "attacker
 // kernel", and checks recovery under both defense configurations; then
 // runs Volt Boot against the defended device.
-func WarmReboot(seed uint64) (*WarmRebootResult, error) {
+func WarmReboot(_ context.Context, seed uint64) (*WarmRebootResult, error) {
 	secret := []byte("dram-resident disk encryption key")
 	res := &WarmRebootResult{}
 

@@ -17,29 +17,17 @@ import (
 // them. The catalog is rebuilt per call so callers can't alias each
 // other's Experiment values.
 func Default() *Registry {
-	// textOnly adapts the common shape: seed in, printable result out.
-	textOnly := func(run func(ctx context.Context, seed uint64) (fmt.Stringer, error)) func(context.Context, Request) (*Result, error) {
-		return func(ctx context.Context, req Request) (*Result, error) {
-			r, err := run(ctx, req.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Text: r.String()}, nil
-		}
-	}
 	return New(
 		&Experiment{
 			Name: "table1", Doc: "§3 cold boot on SRAM across temperatures",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(ctx context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Table1Ctx(ctx, seed)
-			}),
+			Run:           text(experiments.Table1),
 		},
 		&Experiment{
 			Name: "figure3", Doc: "cold-booted d-cache way image (power-on noise)",
 			ArtifactKinds: []string{"text", "pbm"},
 			Run: func(ctx context.Context, req Request) (*Result, error) {
-				r, err := experiments.Figure3(req.Seed)
+				r, err := experiments.Figure3(ctx, req.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -52,43 +40,39 @@ func Default() *Registry {
 		&Experiment{
 			Name: "table2", Doc: "evaluated platforms",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(context.Context, uint64) (fmt.Stringer, error) {
+			Run: text(func(context.Context, uint64) (*experiments.Table2Result, error) {
 				return experiments.Table2(), nil
 			}),
 		},
 		&Experiment{
 			Name: "table3", Doc: "probe pads and power domains",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(context.Context, uint64) (fmt.Stringer, error) {
+			Run: text(func(context.Context, uint64) (*experiments.Table3Result, error) {
 				return experiments.Table3(), nil
 			}),
 		},
 		&Experiment{
 			Name: "figure4", Doc: "PMIC/power topology rendering",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Figure4(seed)
-			}),
+			Run:           text(experiments.Figure4),
 		},
 		&Experiment{
 			Name: "figure5", Doc: "attack execution step trace",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Figure5(seed)
-			}),
+			Run:           text(experiments.Figure5),
 		},
 		&Experiment{
 			Name: "figure6", Doc: "probe attachment pad map",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(context.Context, uint64) (fmt.Stringer, error) {
+			Run: text(func(context.Context, uint64) (*experiments.Figure6Result, error) {
 				return experiments.Figure6(), nil
 			}),
 		},
 		&Experiment{
 			Name: "figure7", Doc: "bare-metal i-cache retention, both SoCs",
 			ArtifactKinds: []string{"text"},
-			Run: func(_ context.Context, req Request) (*Result, error) {
-				rs, err := experiments.Figure7(req.Seed)
+			Run: func(ctx context.Context, req Request) (*Result, error) {
+				rs, err := experiments.Figure7(ctx, req.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -102,16 +86,12 @@ func Default() *Registry {
 		&Experiment{
 			Name: "figure8", Doc: "OS-scenario cache snapshot",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Figure8(seed)
-			}),
+			Run:           text(experiments.Figure8),
 		},
 		&Experiment{
 			Name: "table4", Doc: "d-cache extraction vs array size under a live OS", Slow: true,
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Table4(seed)
-			}),
+			Run:           text(experiments.Table4),
 		},
 		&Experiment{
 			Name: "section7.2", Doc: "vector-register retention per board",
@@ -121,14 +101,14 @@ func Default() *Registry {
 				Enum: []string{"pi4", "pi3"},
 				Doc:  "which boards to run, in order",
 			}},
-			Run: func(_ context.Context, req Request) (*Result, error) {
+			Run: func(ctx context.Context, req Request) (*Result, error) {
 				var b strings.Builder
 				for _, name := range SplitList(req.Params["boards"]) {
 					spec, err := boardSpec(name)
 					if err != nil {
 						return nil, err
 					}
-					r, err := experiments.Section72(req.Seed, spec)
+					r, err := experiments.Section72(ctx, req.Seed, spec)
 					if err != nil {
 						return nil, err
 					}
@@ -140,15 +120,13 @@ func Default() *Registry {
 		&Experiment{
 			Name: "section6.2", Doc: "boot-clobbering / accessible-memory measurement",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Accessibility(seed)
-			}),
+			Run:           text(experiments.Accessibility),
 		},
 		&Experiment{
 			Name: "figure9", Doc: "i.MX53 iRAM bitmap extraction",
 			ArtifactKinds: []string{"text", "pbm"},
-			Run: func(_ context.Context, req Request) (*Result, error) {
-				r, err := experiments.Figure9(req.Seed)
+			Run: func(ctx context.Context, req Request) (*Result, error) {
+				r, err := experiments.Figure9(ctx, req.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -166,23 +144,17 @@ func Default() *Registry {
 		&Experiment{
 			Name: "figure10", Doc: "iRAM error-locality profile",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.Figure10(seed)
-			}),
+			Run:           text(experiments.Figure10),
 		},
 		&Experiment{
 			Name: "countermeasures", Doc: "§8 defense survey run as live attacks", Slow: true,
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(ctx context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.CountermeasuresCtx(ctx, seed)
-			}),
+			Run:           text(experiments.Countermeasures),
 		},
 		&Experiment{
 			Name: "ablationA-probe-sweep", Doc: "probe current limit vs extraction accuracy", Slow: true,
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(ctx context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.ProbeCurrentSweepCtx(ctx, seed)
-			}),
+			Run:           text(experiments.ProbeCurrentSweep),
 		},
 		&Experiment{
 			Name: "ablationB-retention-sweep", Doc: "SRAM retention vs temperature and off-time",
@@ -212,7 +184,7 @@ func Default() *Registry {
 				for i, ms := range offMs {
 					offs[i] = sim.Time(ms * float64(sim.Millisecond))
 				}
-				r, err := experiments.RetentionSweepGridCtx(ctx, req.Seed, temps, offs)
+				r, err := experiments.RetentionSweep(ctx, req.Seed, temps, offs)
 				if err != nil {
 					return nil, err
 				}
@@ -222,72 +194,52 @@ func Default() *Registry {
 		&Experiment{
 			Name: "ablationC-dram-coldboot", Doc: "classic DRAM cold boot, for contrast",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.DRAMColdBoot(seed)
-			}),
+			Run:           text(experiments.DRAMColdBoot),
 		},
 		&Experiment{
 			Name: "ablationD-imprint", Doc: "aging/imprint baseline (§9.2)",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.ImprintBaseline(seed), nil
-			}),
+			Run:           text(experiments.ImprintBaseline),
 		},
 		&Experiment{
 			Name: "ablationE-history-theft", Doc: "TLB access-pattern theft",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.HistoryTheft(seed)
-			}),
+			Run:           text(experiments.HistoryTheft),
 		},
 		&Experiment{
 			Name: "caselock", Doc: "§7.1.2 cache-locking comparison", Slow: true,
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.CaSELock(seed)
-			}),
+			Run:           text(experiments.CaSELock),
 		},
 		&Experiment{
 			Name: "ablationF-warm-reboot", Doc: "BootJacker baseline vs TCG reset",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.WarmReboot(seed)
-			}),
+			Run:           text(experiments.WarmReboot),
 		},
 		&Experiment{
 			Name: "ablationG-context-switch", Doc: "scheduler-dependent register exposure",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.ContextSwitchLeak(seed)
-			}),
+			Run:           text(experiments.ContextSwitchLeak),
 		},
 		&Experiment{
 			Name: "ablationH-puf-clone", Doc: "PUF cloning via the extraction path", Slow: true,
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(ctx context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.PUFCloneCtx(ctx, seed)
-			}),
+			Run:           text(experiments.PUFClone),
 		},
 		&Experiment{
 			Name: "mcu-extension", Doc: "microcontroller (SRAM-as-main-memory) extension",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.MCUAttack(seed)
-			}),
+			Run:           text(experiments.MCUAttack),
 		},
 		&Experiment{
 			Name: "glitchboot-check-skip", Doc: "voltage glitch skips the secure-boot digest compare",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.GlitchBootCheckSkip(seed)
-			}),
+			Run:           text(experiments.GlitchBootCheckSkip),
 		},
 		&Experiment{
 			Name: "glitchboot-verify-bypass", Doc: "voltage glitch inverts the secure-boot mismatch branch",
 			ArtifactKinds: []string{"text"},
-			Run: textOnly(func(_ context.Context, seed uint64) (fmt.Stringer, error) {
-				return experiments.GlitchBootVerifyBypass(seed)
-			}),
+			Run:           text(experiments.GlitchBootVerifyBypass),
 		},
 		&Experiment{
 			Name: "glitch-search", Doc: "Monte-Carlo glitch parameter search over (offset × width × depth)",
@@ -330,7 +282,7 @@ func Default() *Registry {
 				if err != nil {
 					return nil, fmt.Errorf("registry: parsing trials: %w", err)
 				}
-				r, err := experiments.GlitchSearchCtx(ctx, req.Seed, offsets, widths, depths, int(trials))
+				r, err := experiments.GlitchSearch(ctx, req.Seed, offsets, widths, depths, int(trials))
 				if err != nil {
 					return nil, err
 				}
@@ -353,7 +305,7 @@ func Default() *Registry {
 				if err != nil {
 					return nil, err
 				}
-				r, err := experiments.TraceCaptureCtx(ctx, req.Seed, n, window, sigma, key)
+				r, err := experiments.TraceCapture(ctx, req.Seed, n, window, sigma, key)
 				if err != nil {
 					return nil, err
 				}
@@ -376,7 +328,7 @@ func Default() *Registry {
 				if err != nil {
 					return nil, err
 				}
-				r, err := experiments.SCASPACtx(ctx, req.Seed, n, window, sigma, key)
+				r, err := experiments.SCASPA(ctx, req.Seed, n, window, sigma, key)
 				if err != nil {
 					return nil, err
 				}
@@ -392,7 +344,7 @@ func Default() *Registry {
 				if err != nil {
 					return nil, err
 				}
-				r, err := experiments.SCACPACtx(ctx, req.Seed, n, window, sigma, key)
+				r, err := experiments.SCACPA(ctx, req.Seed, n, window, sigma, key)
 				if err != nil {
 					return nil, err
 				}
@@ -414,6 +366,18 @@ func Default() *Registry {
 			},
 		},
 	)
+}
+
+// text adapts the common experiment shape — ctx and seed in, printable
+// result out — to a Run function whose Result is the rendered text.
+func text[T fmt.Stringer](run func(ctx context.Context, seed uint64) (T, error)) func(context.Context, Request) (*Result, error) {
+	return func(ctx context.Context, req Request) (*Result, error) {
+		r, err := run(ctx, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Text: r.String()}, nil
+	}
 }
 
 // scaParams is the shared parameter schema of the side-channel

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -174,19 +175,39 @@ func TestRetentionSweepParamOverride(t *testing.T) {
 	}
 }
 
-// TestRunHonoursCancelledContext: a grid experiment with a dead context
-// returns promptly with ctx.Err.
+// TestRunHonoursCancelledContext: every catalog entry that fans out
+// through the runner returns ctx.Err() when handed a dead context,
+// instead of holding its worker until the simulation finishes.
 func TestRunHonoursCancelledContext(t *testing.T) {
 	reg := Default()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e, _ := reg.Lookup("ablationB-retention-sweep")
-	resolved, _, err := e.Resolve(nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{
+		"table1", "figure7", "table4", "countermeasures",
+		"ablationA-probe-sweep", "ablationB-retention-sweep",
+		"ablationH-puf-clone", "glitch-search", "trace-capture",
+		"sca-spa", "sca-cpa",
+	} {
+		e, _ := reg.Lookup(name)
+		resolved, _, err := e.Resolve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(ctx, Request{Seed: 1, Params: resolved}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Run with cancelled context: err = %v, want context.Canceled", name, err)
+		}
 	}
-	if _, err := e.Run(ctx, Request{Seed: 1, Params: resolved}); err == nil {
-		t.Fatal("Run with cancelled context succeeded")
+}
+
+// defaultFingerprint is Default().Fingerprint(). Fabric peers refuse
+// forwards whose catalog fingerprint differs from their own (409), so a
+// refactor of the catalog must not move it; only a deliberate change to
+// names, slow flags, artifact kinds or parameter schemas may.
+const defaultFingerprint = "f9bea44c000123aa9665f4ef07c31955007a1763affad6425feb4113d0ad3bb8"
+
+func TestDefaultFingerprintPinned(t *testing.T) {
+	if got := Default().Fingerprint(); got != defaultFingerprint {
+		t.Fatalf("Default().Fingerprint() = %s, want %s", got, defaultFingerprint)
 	}
 }
 

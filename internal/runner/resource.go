@@ -7,11 +7,26 @@ import (
 	"sync/atomic"
 )
 
-// MapWithResource is MapCtx for trial functions that share an expensive
-// per-worker resource — the snapshot fast path's entry point. Each
-// worker lazily builds one resource with mk on its first claimed trial
-// and reuses it for every subsequent trial it runs; with workers ≤ 1 a
-// single resource serves the whole serial loop.
+// MapWithResource runs fn(r, i) for every i in [0, n) across at most
+// workers goroutines (workers ≤ 1 runs serially on the calling
+// goroutine) and returns the results in index order. The first error by
+// index (not by completion time) aborts the whole map, and a panic in
+// any trial is propagated to the caller.
+//
+// Cancellation is cooperative: once ctx is cancelled no new trial is
+// dispatched, in-flight trials finish, and the call returns
+// (nil, ctx.Err()). Cancellation takes precedence over any trial error,
+// because which trials had run by the time the context fired is
+// scheduling-dependent — reporting ctx.Err() keeps the cancelled outcome
+// deterministic. A Background (or otherwise non-cancellable) context
+// adds no per-trial overhead: the cancellation probe is skipped entirely
+// when ctx.Done() returns nil.
+//
+// Trials share an expensive per-worker resource — the snapshot fast
+// path's entry point. Each worker lazily builds one resource with mk on
+// its first claimed trial and reuses it for every subsequent trial it
+// runs; with workers ≤ 1 a single resource serves the whole serial loop.
+// Map is the resource-free form.
 //
 // The canonical resource is a forked board: mk builds a fresh
 // board.Board, runs the sweep's shared prefix (boot, victim fill), and
@@ -29,7 +44,7 @@ import (
 // trial index; because mk is deterministic, every worker fails the same
 // way and the lowest-index rule still yields a stable error.
 func MapWithResource[R, T any](ctx context.Context, n, workers int, mk func() (R, error), fn func(r R, i int) (T, error)) ([]T, error) {
-	done := ctx.Done()
+	done := ctx.Done() // nil for Background/TODO: probes compile out below
 	if done != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -72,8 +87,8 @@ func MapWithResource[R, T any](ctx context.Context, n, workers int, mk func() (R
 	}
 
 	var (
-		next     atomic.Int64
-		firstIdx atomic.Int64
+		next     atomic.Int64 // work-stealing cursor
+		firstIdx atomic.Int64 // lowest failing index so far, -1 = none
 		errs     = make([]error, n)
 		panics   = make([]any, workers)
 		wg       sync.WaitGroup
@@ -98,7 +113,7 @@ func MapWithResource[R, T any](ctx context.Context, n, workers int, mk func() (R
 			defer func() {
 				if r := recover(); r != nil {
 					panics[worker] = r
-					firstIdx.Store(-2)
+					firstIdx.Store(-2) // poison: stop handing out work
 				}
 			}()
 			var (
@@ -109,7 +124,7 @@ func MapWithResource[R, T any](ctx context.Context, n, workers int, mk func() (R
 				if done != nil {
 					select {
 					case <-done:
-						return
+						return // stop dispatching; ctx.Err() is reported after wg.Wait
 					default:
 					}
 				}
@@ -117,6 +132,9 @@ func MapWithResource[R, T any](ctx context.Context, n, workers int, mk func() (R
 				if i >= n {
 					return
 				}
+				// Once a failure at index f is known, indices above f
+				// cannot improve the outcome; keep running lower ones so
+				// the reported error is the deterministic lowest index.
 				if f := firstIdx.Load(); f == -2 || (f >= 0 && int64(i) > f) {
 					continue
 				}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMapMatchesSerial is the package's core guarantee: for a pure trial
-// function, MapWorkers with any worker count returns exactly what the
+// function, Map with any worker count returns exactly what the
 // serial loop returns, in the same order.
 func TestMapMatchesSerial(t *testing.T) {
 	const n = 257
@@ -19,12 +19,12 @@ func TestMapMatchesSerial(t *testing.T) {
 		// ordering bug cannot cancel out.
 		return SeedFor(42, "serial-vs-parallel", i), nil
 	}
-	want, err := MapWorkers(n, 1, fn)
+	want, err := Map(context.Background(), n, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64, n + 5} {
-		got, err := MapWorkers(n, workers, fn)
+		got, err := Map(context.Background(), n, workers, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -46,7 +46,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	const n = 100
 	failAt := map[int]bool{17: true, 18: true, 63: true, 99: true}
 	for _, workers := range []int{1, 2, 8} {
-		_, err := MapWorkers(n, workers, func(i int) (int, error) {
+		_, err := Map(context.Background(), n, workers, func(i int) (int, error) {
 			if failAt[i] {
 				return 0, fmt.Errorf("boom at %d", i)
 			}
@@ -64,7 +64,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 // TestMapErrorWrapped: the trial error must be reachable via errors.Is.
 func TestMapErrorWrapped(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := MapWorkers(10, 4, func(i int) (int, error) {
+	_, err := Map(context.Background(), 10, 4, func(i int) (int, error) {
 		if i == 5 {
 			return 0, sentinel
 		}
@@ -89,7 +89,7 @@ func TestMapPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want \"trial panic\"", workers, r)
 				}
 			}()
-			_, _ = MapWorkers(20, workers, func(i int) (int, error) {
+			_, _ = Map(context.Background(), 20, workers, func(i int) (int, error) {
 				if i == 7 {
 					panic("trial panic")
 				}
@@ -101,13 +101,13 @@ func TestMapPanicPropagates(t *testing.T) {
 
 // TestMapEmptyAndSmall: degenerate sizes.
 func TestMapEmptyAndSmall(t *testing.T) {
-	out, err := Map(0, func(i int) (int, error) { return i, nil })
+	out, err := Map(context.Background(), 0, 4, func(i int) (int, error) { return i, nil })
 	if err != nil || out != nil {
-		t.Fatalf("Map(0) = %v, %v; want nil, nil", out, err)
+		t.Fatalf("Map(n=0) = %v, %v; want nil, nil", out, err)
 	}
-	out, err = MapWorkers(1, 8, func(i int) (int, error) { return i + 100, nil })
+	out, err = Map(context.Background(), 1, 8, func(i int) (int, error) { return i + 100, nil })
 	if err != nil || len(out) != 1 || out[0] != 100 {
-		t.Fatalf("MapWorkers(1, 8) = %v, %v", out, err)
+		t.Fatalf("Map(n=1, workers=8) = %v, %v", out, err)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestMapEmptyAndSmall(t *testing.T) {
 func TestMapRunsEveryIndexOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
-	_, err := MapWorkers(n, 8, func(i int) (struct{}, error) {
+	_, err := Map(context.Background(), n, 8, func(i int) (struct{}, error) {
 		counts[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -130,28 +130,6 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestMapCtxMatchesMap: with a background context, MapCtx is the same
-// function as MapWorkers — same results, same ordering, any worker count.
-func TestMapCtxMatchesMap(t *testing.T) {
-	const n = 123
-	fn := func(i int) (uint64, error) { return SeedFor(7, "ctx-vs-plain", i), nil }
-	want, err := MapWorkers(n, 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 16} {
-		got, err := MapCtx(context.Background(), n, workers, fn)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result[%d] = %#x, want %#x", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestMapCtxAlreadyCancelled: a context that is dead on arrival runs
 // nothing and returns ctx.Err().
 func TestMapCtxAlreadyCancelled(t *testing.T) {
@@ -159,7 +137,7 @@ func TestMapCtxAlreadyCancelled(t *testing.T) {
 	cancel()
 	var calls atomic.Int32
 	for _, workers := range []int{1, 8} {
-		out, err := MapCtx(ctx, 50, workers, func(i int) (int, error) {
+		out, err := Map(ctx, 50, workers, func(i int) (int, error) {
 			calls.Add(1)
 			return i, nil
 		})
@@ -184,7 +162,7 @@ func TestMapCtxStopsDispatching(t *testing.T) {
 		var after atomic.Int32
 		release := make(chan struct{})
 		var once sync.Once
-		_, err := MapCtx(ctx, 1000, workers, func(i int) (int, error) {
+		_, err := Map(ctx, 1000, workers, func(i int) (int, error) {
 			once.Do(func() {
 				cancel()
 				close(release) // no trial past this point may start
@@ -211,7 +189,7 @@ func TestMapCtxStopsDispatching(t *testing.T) {
 func TestMapCtxCancellationBeatsTrialError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	_, err := MapCtx(ctx, 100, 4, func(i int) (int, error) {
+	_, err := Map(ctx, 100, 4, func(i int) (int, error) {
 		if i == 0 {
 			cancel()
 			return 0, boom
@@ -220,16 +198,6 @@ func TestMapCtxCancellationBeatsTrialError(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestMapNoErr covers the infallible wrapper.
-func TestMapNoErr(t *testing.T) {
-	out := MapNoErr(5, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package voltboot
 
 import (
+	"context"
+
 	"repro/internal/aes"
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -69,10 +71,14 @@ type (
 )
 
 // Table1 reproduces Table 1 (cold boot on SRAM is ineffective).
-func Table1(seed uint64) (*Table1Result, error) { return experiments.Table1(seed) }
+func Table1(seed uint64) (*Table1Result, error) {
+	return experiments.Table1(context.Background(), seed)
+}
 
 // Figure3 reproduces Figure 3 (cold-booted d-cache is power-on noise).
-func Figure3(seed uint64) (*Figure3Result, error) { return experiments.Figure3(seed) }
+func Figure3(seed uint64) (*Figure3Result, error) {
+	return experiments.Figure3(context.Background(), seed)
+}
 
 // Table2 reproduces Table 2 (evaluated platforms).
 func Table2() *Table2Result { return experiments.Table2() }
@@ -81,92 +87,110 @@ func Table2() *Table2Result { return experiments.Table2() }
 func Table3() *Table3Result { return experiments.Table3() }
 
 // Figure4 reproduces Figure 4 (PMIC/power topology).
-func Figure4(seed uint64) (*Figure4Result, error) { return experiments.Figure4(seed) }
+func Figure4(seed uint64) (*Figure4Result, error) {
+	return experiments.Figure4(context.Background(), seed)
+}
 
 // Figure5 reproduces Figure 5 (attack execution steps).
-func Figure5(seed uint64) (*Figure5Result, error) { return experiments.Figure5(seed) }
+func Figure5(seed uint64) (*Figure5Result, error) {
+	return experiments.Figure5(context.Background(), seed)
+}
 
 // Figure6 substitutes Figure 6 (probe attachment points).
 func Figure6() *Figure6Result { return experiments.Figure6() }
 
 // Figure7 reproduces Figure 7 (bare-metal i-cache retention, both SoCs).
-func Figure7(seed uint64) ([]*Figure7Result, error) { return experiments.Figure7(seed) }
+func Figure7(seed uint64) ([]*Figure7Result, error) {
+	return experiments.Figure7(context.Background(), seed)
+}
 
 // Figure8 reproduces Figure 8 (OS-scenario cache snapshots).
-func Figure8(seed uint64) (*Figure8Result, error) { return experiments.Figure8(seed) }
+func Figure8(seed uint64) (*Figure8Result, error) {
+	return experiments.Figure8(context.Background(), seed)
+}
 
 // Table4 reproduces Table 4 (d-cache extraction vs array size).
-func Table4(seed uint64) (*Table4Result, error) { return experiments.Table4(seed) }
+func Table4(seed uint64) (*Table4Result, error) {
+	return experiments.Table4(context.Background(), seed)
+}
 
 // Section72 reproduces the §7.2 register retention experiment.
 func Section72(seed uint64, spec DeviceSpec) (*Section72Result, error) {
-	return experiments.Section72(seed, spec)
+	return experiments.Section72(context.Background(), seed, spec)
 }
 
 // Accessibility reproduces the §6.2 accessible-memory measurement.
 func Accessibility(seed uint64) (*AccessibilityResult, error) {
-	return experiments.Accessibility(seed)
+	return experiments.Accessibility(context.Background(), seed)
 }
 
 // Figure9 reproduces Figure 9 (i.MX53 iRAM bitmap extraction).
-func Figure9(seed uint64) (*Figure9Result, error) { return experiments.Figure9(seed) }
+func Figure9(seed uint64) (*Figure9Result, error) {
+	return experiments.Figure9(context.Background(), seed)
+}
 
 // Figure10 reproduces Figure 10 (iRAM error locality).
-func Figure10(seed uint64) (*Figure10Result, error) { return experiments.Figure10(seed) }
+func Figure10(seed uint64) (*Figure10Result, error) {
+	return experiments.Figure10(context.Background(), seed)
+}
 
 // Countermeasures reproduces the §8 defense survey.
 func Countermeasures(seed uint64) (*CountermeasuresResult, error) {
-	return experiments.Countermeasures(seed)
+	return experiments.Countermeasures(context.Background(), seed)
 }
 
 // ProbeCurrentSweep runs Ablation A.
 func ProbeCurrentSweep(seed uint64) (*ProbeSweepResult, error) {
-	return experiments.ProbeCurrentSweep(seed)
+	return experiments.ProbeCurrentSweep(context.Background(), seed)
 }
 
 // RetentionSweep runs Ablation B.
 func RetentionSweep(seed uint64) *RetentionSweepResult {
-	return experiments.RetentionSweep(seed)
+	// A background context and the default grid cannot fail.
+	res, _ := experiments.RetentionSweep(context.Background(), seed,
+		experiments.RetentionSweepTemps(), experiments.RetentionSweepOffTimes())
+	return res
 }
 
 // DRAMColdBoot runs Ablation C.
 func DRAMColdBoot(seed uint64) (*DRAMColdBootResult, error) {
-	return experiments.DRAMColdBoot(seed)
+	return experiments.DRAMColdBoot(context.Background(), seed)
 }
 
 // ImprintBaseline runs Ablation D (aging attacks vs Volt Boot).
 func ImprintBaseline(seed uint64) *ImprintResult {
-	return experiments.ImprintBaseline(seed)
+	res, _ := experiments.ImprintBaseline(context.Background(), seed) // never fails
+	return res
 }
 
 // HistoryTheft runs Ablation E (microarchitectural history theft).
 func HistoryTheft(seed uint64) (*HistoryTheftResult, error) {
-	return experiments.HistoryTheft(seed)
+	return experiments.HistoryTheft(context.Background(), seed)
 }
 
 // CaSELock runs the §7.1.2 cache-locking comparison.
 func CaSELock(seed uint64) (*CaSELockResult, error) {
-	return experiments.CaSELock(seed)
+	return experiments.CaSELock(context.Background(), seed)
 }
 
 // WarmReboot runs Ablation F (warm-reboot baseline and TCG mitigation).
 func WarmReboot(seed uint64) (*WarmRebootResult, error) {
-	return experiments.WarmReboot(seed)
+	return experiments.WarmReboot(context.Background(), seed)
 }
 
 // ContextSwitchLeak runs Ablation G (register theft under multitasking).
 func ContextSwitchLeak(seed uint64) (*ContextSwitchResult, error) {
-	return experiments.ContextSwitchLeak(seed)
+	return experiments.ContextSwitchLeak(context.Background(), seed)
 }
 
 // PUFClone runs Ablation H (cloning an SRAM PUF via cache extraction).
 func PUFClone(seed uint64) (*PUFCloneResult, error) {
-	return experiments.PUFClone(seed)
+	return experiments.PUFClone(context.Background(), seed)
 }
 
 // MCUAttack runs the microcontroller extension (SRAM-as-main-memory).
 func MCUAttack(seed uint64) (*MCUAttackResult, error) {
-	return experiments.MCUAttack(seed)
+	return experiments.MCUAttack(context.Background(), seed)
 }
 
 // GenericMCU returns the Cortex-M-class device spec used by MCUAttack.

@@ -24,6 +24,9 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+echo "==> perfbench module: vet + tests (a separate module that root ./... skips)"
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
