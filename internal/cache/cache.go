@@ -140,10 +140,10 @@ type Cache struct {
 
 	// dataRAM[w] holds sets×LineBytes bytes for way w; the per-way split
 	// mirrors how the paper dumps and reports "WAY0"/"WAY1" images.
-	//voltvet:nosnap sram.Arrays with their own snapshot pairs, enumerated by the SoC capture (allArrays)
+	//voltvet:nosnap sram.Arrays with their own snapshot pairs, enumerated by the SoC capture (SoC.arrays)
 	dataRAM []*sram.Array
 	// tagRAM holds one 64-bit entry per (way, set): way-major layout.
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC capture (allArrays)
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC capture (SoC.arrays)
 	tagRAM *sram.Array
 
 	// enabled gates allocation: a disabled cache bypasses to backing
@@ -159,6 +159,12 @@ type Cache struct {
 	// is irrelevant to the attack, so it lives in plain memory.
 	lastUse [][]uint64
 	useTick uint64
+	// lruDirty has one bit per set, raised by every touch since lruOwner
+	// was captured or last restored: RestoreAux of the owner rewinds only
+	// those sets' timestamps (see snapshot.go). Derived state, not
+	// physics.
+	lruDirty []uint64
+	lruOwner *AuxSnapshot
 
 	// scratch is a reusable LineBytes buffer for fills, writebacks and
 	// bypasses, so the hot path never calls make. Like lastUse it is
@@ -217,6 +223,7 @@ func New(env *sim.Env, cfg Config, model sram.RetentionModel, seed uint64, backi
 		dataRAM:    make([]*sram.Array, cfg.Ways),
 		lockedWays: make([]bool, cfg.Ways),
 		lastUse:    make([][]uint64, cfg.Ways),
+		lruDirty:   make([]uint64, (sets+63)/64),
 		scratch:    make([]byte, cfg.LineBytes),
 		memoWay:    -1,
 	}
@@ -338,6 +345,7 @@ func (c *Cache) victim(set int) (int, error) {
 func (c *Cache) touch(way, set int) {
 	c.useTick++
 	c.lastUse[way][set] = c.useTick
+	c.lruDirty[set>>6] |= 1 << (uint(set) & 63)
 }
 
 // TouchFetchHit replays the microarchitectural side effects of a hit at

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -87,6 +88,68 @@ func TestTable4GoldenSeed(t *testing.T) {
 	if got := sha256Hex(out); got != table4GoldenSHA256 {
 		t.Fatalf("Table4(%#x) rendered output drifted from the pre-fast-path golden value\n"+
 			"sha256 = %s, want %s\noutput:\n%s", uint64(testSeed), got, table4GoldenSHA256, out)
+	}
+}
+
+// Fault-campaign golden pins: SHA-256 of the rendered text followed by
+// every artifact the catalog publishes, in catalog order — for sca-cpa
+// the cpa_keyrank.json and cpa_traces.vbtr bytes, for glitch-search the
+// glitch_success_map.json bytes — at testSeed. Captured at commit
+// 046ad90, before the blocked CPA accumulation and the dirty-set LRU
+// restore, so they machine-check that both are bit-invisible. The CPA
+// trace count is deliberately not a multiple of the accumulator's
+// 4-trace fold, so the remainder path is pinned too.
+const (
+	scaCPAGoldenTraces       = 103
+	scaCPAGoldenSHA256       = "ed07400f2d0342a3ab8c7c90a59633db88a49d387ecd2987f467963bc15f2fbb"
+	glitchSearchGoldenSHA256 = "3cf9ad5abb328c0e0130457868cf189008898953a15845de3d7ec6ba45e04085"
+)
+
+// pinnedSHA256 hashes a run's text and artifact bytes as one stream.
+func pinnedSHA256(t *testing.T, text string, artifacts ...any) string {
+	t.Helper()
+	h := sha256.New()
+	h.Write([]byte(text))
+	for _, a := range artifacts {
+		var blob []byte
+		switch a := a.(type) {
+		case []byte:
+			blob = a
+		default:
+			var err error
+			if blob, err = json.MarshalIndent(a, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Write(blob)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSCACPAGoldenSeed: the CPA report, key-rank JSON and VBTR trace
+// blob are byte-identical to the pre-blocked-accumulation output.
+func TestSCACPAGoldenSeed(t *testing.T) {
+	res, err := SCACPA(context.Background(), testSeed, scaCPAGoldenTraces, 256, 1.0, mustKey(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := res.TraceArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pinnedSHA256(t, res.String(), res, traces); got != scaCPAGoldenSHA256 {
+		t.Fatalf("SCACPA(%#x, %d traces) output drifted from the golden value\n"+
+			"sha256 = %s, want %s\noutput:\n%s", uint64(testSeed), scaCPAGoldenTraces, got, scaCPAGoldenSHA256, res)
+	}
+}
+
+// TestGlitchSearchGoldenSeed: the glitch success map, text and JSON,
+// is byte-identical to the pre-dirty-set-restore output.
+func TestGlitchSearchGoldenSeed(t *testing.T) {
+	res := defaultGlitchSearch(t)
+	if got := pinnedSHA256(t, res.String(), res); got != glitchSearchGoldenSHA256 {
+		t.Fatalf("GlitchSearch(%#x) output drifted from the golden value\n"+
+			"sha256 = %s, want %s\noutput:\n%s", uint64(testSeed), got, glitchSearchGoldenSHA256, res)
 	}
 }
 

@@ -69,17 +69,27 @@ type glitchRig struct {
 	snap *board.Snapshot
 }
 
+// buildGlitchROM assembles the demo image and the mask ROM that
+// verifies it at the scenario's memory map.
+func buildGlitchROM() ([]uint32, *glitch.BootROM, error) {
+	image, err := glitch.BuildDemoImage(glitchImageBase, glitchProofAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	rom, err := glitch.BuildBootROM(soc.ROMBase, image, glitchImageBase, glitchStatusAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return image, rom, nil
+}
+
 func newGlitchRig(seed uint64) (*glitchRig, error) {
 	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}
 	s := b.SoC
-	image, err := glitch.BuildDemoImage(glitchImageBase, glitchProofAddr)
-	if err != nil {
-		return nil, err
-	}
-	rom, err := glitch.BuildBootROM(soc.ROMBase, image, glitchImageBase, glitchStatusAddr)
+	image, rom, err := buildGlitchROM()
 	if err != nil {
 		return nil, err
 	}
@@ -312,13 +322,14 @@ func GlitchSearch(ctx context.Context, seed uint64,
 			c.Hang++
 		}
 	}
-	rig, err := newGlitchRig(seed)
+	// The report reads only the ROM layout: no board needs booting.
+	_, rom, err := buildGlitchROM()
 	if err != nil {
 		return nil, err
 	}
 	return &GlitchSearchResult{
-		Board:     rig.b.SoC.Spec.Board,
-		TriggerPC: rig.rom.HashDonePC,
+		Board:     soc.BCM2711().Board,
+		TriggerPC: rom.HashDonePC,
 		Trials:    trials,
 		Cells:     cells,
 	}, nil

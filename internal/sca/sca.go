@@ -11,11 +11,14 @@
 // running sums (Σx, Σx², Σh, Σh², Σhx) from which Pearson's r for
 // every (guess, sample) pair is closed-form at the end — no trace
 // matrix is retained, so trace count is bounded by capture time, not
-// memory. Accumulation order is fixed (trace index order, guesses in
-// ascending order), which keeps the float64 sums — and therefore every
-// reported correlation — bit-reproducible across runs and GOMAXPROCS
-// settings. The per-key-byte searches are independent, so Attack fans
-// them out over runner.MapWithResource and reassembles in byte order.
+// memory. Every sum is a chain of additions in trace index order,
+// which keeps the float64 sums — and therefore every reported
+// correlation — bit-reproducible across runs and GOMAXPROCS settings.
+// The Σhx cross-sum is folded a block of samples at a time (see Add)
+// so its working set stays in L1; the blocking reorders only which
+// chain advances next, never the addends of one chain. The per-key-byte
+// searches are independent, so Attack fans them out over
+// runner.MapWithResource and reassembles in byte order.
 package sca
 
 import (
@@ -31,13 +34,22 @@ import (
 // hwSBox[b] = HW(SBox(b)): the hypothesis table. h[guess] for a trace
 // with plaintext byte p is hwSBox[p^guess] — the predicted Hamming
 // weight of the round-0 SubBytes writeback the victim leaks.
-var hwSBox [256]float64
+var hwSBox [256]uint8
 
 func init() {
 	for b := 0; b < 256; b++ {
-		hwSBox[b] = float64(bits.OnesCount8(aes.SBox(byte(b))))
+		hwSBox[b] = uint8(bits.OnesCount8(aes.SBox(byte(b))))
 	}
 }
+
+// Cross-sum blocking: Add folds Σhx blockW samples at a time, four
+// traces per pass over the block. A block's [256][blockW] float64
+// accumulator is 32 KB, so it stays in L1 while every trace of the
+// batch folds into it.
+const (
+	blockW     = 16
+	foldTraces = 4
+)
 
 // PearsonAcc is the streaming one-pass Pearson accumulator for one key
 // byte: 256 guess hypotheses against a window of trace samples.
@@ -47,10 +59,10 @@ type PearsonAcc struct {
 	// n is the trace count; sx/sxx are per-sample trace sums; sh/shh
 	// are per-guess hypothesis sums; shx is the [256][W] cross-sum,
 	// flattened guess-major.
-	n        float64
-	sx, sxx  []float64
-	sh, shh  [256]float64
-	shx      []float64
+	n       float64
+	sx, sxx []float64
+	sh, shh [256]float64
+	shx     []float64
 }
 
 // NewPearsonAcc builds an accumulator over a window of w samples.
@@ -63,25 +75,97 @@ func NewPearsonAcc(w int) *PearsonAcc {
 	}
 }
 
-// Add folds one trace into the sums. pt is the trace's known plaintext
-// byte for the key byte under attack; t must hold at least W samples.
-func (a *PearsonAcc) Add(t []float32, pt byte) {
-	a.n++
-	for s := 0; s < a.W; s++ {
-		x := float64(t[s])
-		a.sx[s] += x
-		a.sxx[s] += x * x
+// products holds one trace's block of exact hypothesis-weighted
+// samples: row k is k·x for k = 0..8 (rows 9..15 pad the index to a
+// power of two so h&15 needs no bounds check). Row 0 is +0, not 0·x:
+// a zero hypothesis contributes nothing, and +0 is the identity on an
+// accumulator that starts at +0 — such a sum can never reach −0.
+type products [16][blockW]float64
+
+// fill loads samples t[s0:s0+bw] into p's rows. k·x is exact in
+// float64 (a float32 mantissa times a 4-bit integer fits in 53 bits),
+// so each row entry is exactly the addend h·x the per-trace fold adds.
+func (p *products) fill(t []float32, s0, bw int) {
+	var x [blockW]float64
+	for j := 0; j < bw; j++ {
+		x[j] = float64(t[s0+j])
 	}
-	for g := 0; g < 256; g++ {
-		h := hwSBox[pt^byte(g)]
-		a.sh[g] += h
-		a.shh[g] += h * h
-		if h == 0 {
-			continue // a zero hypothesis contributes exactly zero
+	for k := 1; k <= 8; k++ {
+		fk := float64(k)
+		row := &p[k]
+		for j := range row {
+			row[j] = fk * x[j]
 		}
-		row := a.shx[g*a.W : (g+1)*a.W]
-		for s := 0; s < a.W; s++ {
-			row[s] += h * float64(t[s])
+	}
+}
+
+// Add folds a batch of traces into the sums, in batch order. pts[i] is
+// trace i's known plaintext byte for the key byte under attack; every
+// trace must hold at least W samples. Successive calls continue the
+// same chains, so splitting a trace set into batches changes nothing.
+//
+// Each (guess, sample) cross-sum adds exactly the addends the textbook
+// per-trace loop adds, in trace order: the loops are only interchanged
+// so a block of samples is loaded once, folded over the whole batch —
+// four traces per load/store of each lane — and stored back. A batch
+// whose length is not a multiple of four pads its last fold with
+// all-zero products, which add +0 (see products).
+func (a *PearsonAcc) Add(traces [][]float32, pts []byte) {
+	for i, t := range traces {
+		a.n++
+		for s, v := range t[:a.W] {
+			x := float64(v)
+			a.sx[s] += x
+			a.sxx[s] += x * x
+		}
+		for g := 0; g < 256; g++ {
+			h := float64(hwSBox[pts[i]^byte(g)])
+			a.sh[g] += h
+			a.shh[g] += h * h
+		}
+	}
+	var acc [256][blockW]float64
+	var prod [foldTraces]products
+	for s0 := 0; s0 < a.W; s0 += blockW {
+		bw := min(blockW, a.W-s0)
+		for g := range acc {
+			copy(acc[g][:bw], a.shx[g*a.W+s0:])
+		}
+		for i := 0; i < len(traces); i += foldTraces {
+			var pt [foldTraces]byte
+			for f := range prod {
+				if i+f < len(traces) {
+					prod[f].fill(traces[i+f], s0, bw)
+					pt[f] = pts[i+f]
+				} else {
+					prod[f] = products{} // past the batch end: adds +0
+				}
+			}
+			fold4(&acc, &prod, pt[0], pt[1], pt[2], pt[3])
+		}
+		for g := range acc {
+			copy(a.shx[g*a.W+s0:g*a.W+s0+bw], acc[g][:bw])
+		}
+	}
+}
+
+// fold4 adds four traces' products into every guess row of a block:
+// lane j of guess g gains h0·x0, h1·x1, h2·x2, h3·x3 in that order (Go's
+// + is left-associative), exactly the chain the per-trace loop builds.
+// The lanes are unrolled by four so loop control stays off the adds.
+func fold4(acc *[256][blockW]float64, prod *[foldTraces]products, p0, p1, p2, p3 byte) {
+	for g := range acc {
+		gb := byte(g)
+		r0 := &prod[0][hwSBox[p0^gb]&15]
+		r1 := &prod[1][hwSBox[p1^gb]&15]
+		r2 := &prod[2][hwSBox[p2^gb]&15]
+		r3 := &prod[3][hwSBox[p3^gb]&15]
+		row := &acc[g]
+		for j := 0; j < blockW; j += 4 {
+			row[j] = row[j] + r0[j] + r1[j] + r2[j] + r3[j]
+			row[j+1] = row[j+1] + r0[j+1] + r1[j+1] + r2[j+1] + r3[j+1]
+			row[j+2] = row[j+2] + r0[j+2] + r1[j+2] + r2[j+2] + r3[j+2]
+			row[j+3] = row[j+3] + r0[j+3] + r1[j+3] + r2[j+3] + r3[j+3]
 		}
 	}
 }
@@ -136,10 +220,12 @@ type Result struct {
 
 // attackByte runs the full guess-space correlation for key byte b.
 func attackByte(traces [][]float32, pts [][]byte, w int, b int) ByteResult {
-	acc := NewPearsonAcc(w)
-	for i, t := range traces {
-		acc.Add(t, pts[i][b])
+	col := make([]byte, len(pts))
+	for i, pt := range pts {
+		col[i] = pt[b]
 	}
+	acc := NewPearsonAcc(w)
+	acc.Add(traces, col)
 	var res ByteResult
 	best, second := -1.0, -1.0
 	for g := 0; g < 256; g++ {

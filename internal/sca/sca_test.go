@@ -72,6 +72,133 @@ func TestCPARecoversSyntheticKey(t *testing.T) {
 	}
 }
 
+// refHW is HW(SBox(b)), derived from aes.SBox directly rather than
+// from hwSBox: the reference must not share the code under test.
+var refHW = func() (t [256]float64) {
+	for b := range t {
+		t[b] = float64(bits.OnesCount8(aes.SBox(byte(b))))
+	}
+	return t
+}()
+
+// addReference is the textbook per-trace fold the blocked Add must
+// reproduce bit for bit: every sum advances once per trace, in trace
+// order, and a zero hypothesis skips the cross-sum row entirely.
+func addReference(a *PearsonAcc, t []float32, pt byte) {
+	a.n++
+	for s := 0; s < a.W; s++ {
+		x := float64(t[s])
+		a.sx[s] += x
+		a.sxx[s] += x * x
+	}
+	for g := 0; g < 256; g++ {
+		h := refHW[pt^byte(g)]
+		a.sh[g] += h
+		a.shh[g] += h * h
+		if h == 0 {
+			continue
+		}
+		row := a.shx[g*a.W : (g+1)*a.W]
+		for s := 0; s < a.W; s++ {
+			row[s] += h * float64(t[s])
+		}
+	}
+}
+
+// diffTraces generates n traces of at least w samples (some longer, as
+// Attack allows) whose values mix noise, exact ±0, magnitudes across a
+// wide exponent range and constant (zero-variance) columns.
+func diffTraces(rng *xrand.Rand, n, w int) ([][]float32, []byte) {
+	constCol := make([]float32, w)
+	for s := range constCol {
+		switch rng.Uint64() % 4 {
+		case 0:
+			constCol[s] = float32(math.Copysign(0, -1))
+		case 1:
+			constCol[s] = float32(rng.Float64()*8 - 4)
+		default:
+			constCol[s] = float32(math.NaN()) // marks a varying column
+		}
+	}
+	traces := make([][]float32, n)
+	pts := make([]byte, n)
+	for i := range traces {
+		t := make([]float32, w+int(rng.Uint64()%3))
+		for s := range t {
+			if s < w && !math.IsNaN(float64(constCol[s])) {
+				t[s] = constCol[s]
+				continue
+			}
+			switch rng.Uint64() % 8 {
+			case 0:
+				t[s] = float32(math.Copysign(0, -1))
+			case 1:
+				t[s] = 0
+			case 2, 3:
+				// Magnitudes over 80 binades: sums round, so any
+				// reordering of a chain's addends shows in the bits.
+				e := int(rng.Uint64()%81) - 40
+				t[s] = float32(math.Ldexp(rng.Float64()-0.5, e))
+			default:
+				t[s] = float32(0.62 + 3*(rng.Float64()-0.5))
+			}
+		}
+		traces[i] = t
+		pts[i] = byte(rng.Uint64())
+	}
+	return traces, pts
+}
+
+// TestAddMatchesPerTraceReference: the blocked batch fold is
+// bit-identical to the per-trace reference — every running sum and
+// every correlation — across trace counts around the 4-trace fold,
+// windows around the 16-sample block, batches split at random
+// boundaries, signed zeros and constant columns.
+func TestAddMatchesPerTraceReference(t *testing.T) {
+	rng := xrand.New(0xC0FFEE)
+	same := func(what string, i int, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)",
+				what, i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, n := range []int{1, 3, 4, 5, 257} {
+		for _, w := range []int{1, 15, 16, 17, 167} {
+			t.Run(fmt.Sprintf("n%d_w%d", n, w), func(t *testing.T) {
+				traces, pts := diffTraces(rng, n, w)
+				ref := NewPearsonAcc(w)
+				for i, tr := range traces {
+					addReference(ref, tr, pts[i])
+				}
+				got := NewPearsonAcc(w)
+				for lo := 0; lo < n; {
+					hi := lo + int(rng.Uint64()%uint64(n-lo+1))
+					got.Add(traces[lo:hi], pts[lo:hi])
+					lo = hi
+				}
+				same("n", 0, got.n, ref.n)
+				for s := 0; s < w; s++ {
+					same("sx", s, got.sx[s], ref.sx[s])
+					same("sxx", s, got.sxx[s], ref.sxx[s])
+				}
+				for g := 0; g < 256; g++ {
+					same("sh", g, got.sh[g], ref.sh[g])
+					same("shh", g, got.shh[g], ref.shh[g])
+				}
+				for i := range ref.shx {
+					same("shx", i, got.shx[i], ref.shx[i])
+				}
+				for g := 0; g < 256; g++ {
+					for s := 0; s < w; s++ {
+						same("Corr", g*w+s, got.Corr(g, s), ref.Corr(g, s))
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPearsonAccMatchesTwoPass: the streaming accumulator's closed-form
 // r equals a textbook two-pass Pearson computation.
 func TestPearsonAccMatchesTwoPass(t *testing.T) {
@@ -88,21 +215,19 @@ func TestPearsonAccMatchesTwoPass(t *testing.T) {
 		ptb[i] = byte(rng.Uint64())
 	}
 	acc := NewPearsonAcc(w)
-	for i, tr := range traces {
-		acc.Add(tr, ptb[i])
-	}
+	acc.Add(traces, ptb)
 	twoPass := func(g, s int) float64 {
 		var mx, mh float64
 		for i := range traces {
 			mx += float64(traces[i][s])
-			mh += hwSBox[ptb[i]^byte(g)]
+			mh += refHW[ptb[i]^byte(g)]
 		}
 		mx /= n
 		mh /= n
 		var num, dx, dh float64
 		for i := range traces {
 			x := float64(traces[i][s]) - mx
-			h := hwSBox[ptb[i]^byte(g)] - mh
+			h := refHW[ptb[i]^byte(g)] - mh
 			num += x * h
 			dx += x * x
 			dh += h * h
@@ -127,7 +252,7 @@ func TestPearsonAccMatchesTwoPass(t *testing.T) {
 func TestCorrZeroVariance(t *testing.T) {
 	acc := NewPearsonAcc(1)
 	for i := 0; i < 8; i++ {
-		acc.Add([]float32{3.5}, byte(i))
+		acc.Add([][]float32{{3.5}}, []byte{byte(i)})
 	}
 	for g := 0; g < 256; g++ {
 		if r := acc.Corr(g, 0); r != 0 || math.IsNaN(r) {

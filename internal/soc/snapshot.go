@@ -39,31 +39,20 @@ type Snapshot struct {
 	now   sim.Time
 	tempC float64
 
-	arrays []*sram.ArraySnapshot // parallel to allArrays()
+	arrays []*sram.ArraySnapshot // parallel to SoC.arrays
 	dram   *dram.ModuleSnapshot
-	caches []*cache.AuxSnapshot // parallel to snapCaches()
 
+	// cpus, lastFetch, l1d and l1i are per core, parallel to SoC.Cores.
 	cpus      []isa.CPUState
 	lastFetch []uint64
+	l1d, l1i  []*cache.AuxSnapshot
+	l2        *cache.AuxSnapshot // nil without an L2
 
 	coreDom, memDom, ioDom power.DomainSnapshot
 
 	bootCount   int
 	orderlyDown bool
 	barriers    uint64
-}
-
-// snapCaches enumerates the cache levels in a fixed order, mirroring
-// allArrays' determinism.
-func (s *SoC) snapCaches() []*cache.Cache {
-	var out []*cache.Cache
-	for _, c := range s.Cores {
-		out = append(out, c.L1D, c.L1I)
-	}
-	if s.L2 != nil {
-		out = append(out, s.L2)
-	}
-	return out
 }
 
 // CaptureSnapshot records the SoC's complete state and arms dirty-page
@@ -81,15 +70,17 @@ func (s *SoC) CaptureSnapshot() *Snapshot {
 		orderlyDown: s.orderlyDown,
 		barriers:    s.barriers,
 	}
-	for _, a := range s.allArrays() {
+	for _, a := range s.arrays {
 		snap.arrays = append(snap.arrays, a.CaptureSnapshot())
-	}
-	for _, c := range s.snapCaches() {
-		snap.caches = append(snap.caches, c.CaptureAux())
 	}
 	for _, c := range s.Cores {
 		snap.cpus = append(snap.cpus, c.CPU.CaptureState())
 		snap.lastFetch = append(snap.lastFetch, c.lastFetch)
+		snap.l1d = append(snap.l1d, c.L1D.CaptureAux())
+		snap.l1i = append(snap.l1i, c.L1I.CaptureAux())
+	}
+	if s.L2 != nil {
+		snap.l2 = s.L2.CaptureAux()
 	}
 	return snap
 }
@@ -107,14 +98,16 @@ func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	s.CoreDom.RestoreSnapshot(snap.coreDom)
 	s.MemDom.RestoreSnapshot(snap.memDom)
 	s.IODom.RestoreSnapshot(snap.ioDom)
-	for i, a := range s.allArrays() {
+	for i, a := range s.arrays {
 		a.RestoreSnapshot(snap.arrays[i])
 	}
 	s.DRAM.RestoreSnapshot(snap.dram)
-	for i, c := range s.snapCaches() {
-		c.RestoreAux(snap.caches[i])
+	if s.L2 != nil {
+		s.L2.RestoreAux(snap.l2)
 	}
 	for i, c := range s.Cores {
+		c.L1D.RestoreAux(snap.l1d[i])
+		c.L1I.RestoreAux(snap.l1i[i])
 		c.CPU.RestoreState(snap.cpus[i])
 		c.lastFetch = snap.lastFetch[i]
 		// Poison the TLB write memo: its stamp predates the restore's gen

@@ -167,7 +167,7 @@ type SoC struct {
 	// L2 is the shared second-level cache.
 	L2 *cache.Cache
 	// IRAM is the on-chip RAM (nil unless the spec has one).
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by allArrays
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by arrays
 	IRAM *sram.Array
 	// DRAM is main memory.
 	DRAM *dram.Module
@@ -175,6 +175,11 @@ type SoC struct {
 	// CoreDom and MemDom are the SRAM-relevant power domains; IODom
 	// exists for Figure 2 completeness.
 	CoreDom, MemDom, IODom *power.Domain
+
+	// arrays lists every on-chip SRAM array in a fixed order. New builds
+	// it once, so capture, restore and the power-toggle reset walk it
+	// without allocating.
+	arrays []*sram.Array
 
 	//voltvet:nosnap boot regenerates it from the device seed and image install precedes capture; content is invariant across a trial tail
 	rom []byte
@@ -300,6 +305,18 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		s.CoreDom.Attach(core.BTB)
 	}
 
+	for _, c := range s.Cores {
+		s.arrays = append(s.arrays, c.L1D.Arrays()...)
+		s.arrays = append(s.arrays, c.L1I.Arrays()...)
+		s.arrays = append(s.arrays, c.RegFile.Array(), c.TLB, c.BTB)
+	}
+	if s.L2 != nil {
+		s.arrays = append(s.arrays, s.L2.Arrays()...)
+	}
+	if s.IRAM != nil {
+		s.arrays = append(s.arrays, s.IRAM)
+	}
+
 	// Mask ROM contents: deterministic firmware bytes (nonvolatile).
 	s.rom = make([]byte, 64*1024)
 	xrand.Derive(seed, "bootrom").Bytes(s.rom)
@@ -373,7 +390,7 @@ func (s *SoC) Boot(img *BootImage) error {
 		// again during reset. An external probe holds the *pin*, but the
 		// gate sits behind it, so contents are lost regardless.
 		s.Env.Logf("boot", "power-toggle reset of all on-chip SRAM")
-		for _, a := range s.allArrays() {
+		for _, a := range s.arrays {
 			restore := a.RailVolts()
 			a.SetRail(0)
 			s.Env.Advance(1 * sim.Millisecond)
@@ -382,7 +399,7 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 	if s.Opts.MBISTReset {
 		s.Env.Logf("boot", "MBIST zeroization of all on-chip SRAM")
-		for _, a := range s.allArrays() {
+		for _, a := range s.arrays {
 			if a.Powered() {
 				a.Fill(0)
 			}
@@ -525,23 +542,6 @@ func (s *SoC) ProgramROM(words []uint32) error {
 		}
 	}
 	return nil
-}
-
-// allArrays enumerates every on-chip SRAM array.
-func (s *SoC) allArrays() []*sram.Array {
-	var out []*sram.Array
-	for _, c := range s.Cores {
-		out = append(out, c.L1D.Arrays()...)
-		out = append(out, c.L1I.Arrays()...)
-		out = append(out, c.RegFile.Array(), c.TLB, c.BTB)
-	}
-	if s.L2 != nil {
-		out = append(out, s.L2.Arrays()...)
-	}
-	if s.IRAM != nil {
-		out = append(out, s.IRAM)
-	}
-	return out
 }
 
 // RunCore executes core id until it halts or maxInstr retire, through

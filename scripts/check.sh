@@ -46,6 +46,9 @@ go test -race -count=1 ./internal/glitch/
 echo "==> side-channel toolkit: full -race pass (trace capture, SPA, CPA)"
 go test -race -count=1 ./internal/trace/ ./internal/sca/
 
+echo "==> cache: full -race pass (reference-model fuzz, dirty-set LRU restore)"
+go test -race -count=1 ./internal/cache/
+
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
@@ -61,5 +64,6 @@ go test -run 'StepSteadyStateZeroAlloc' -count=1 ./internal/soc/
 go test -run 'StepGlitchDisarmedZeroAlloc' -count=1 ./internal/glitch/
 go test -run 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' -count=1 ./internal/trace/
 go test -run 'AccessHitPathAllocFree|LineTransferAllocFree' -count=1 ./internal/cache/
+go test -run 'TestRestoreSnapshotZeroAlloc' -count=1 ./internal/board/
 
 echo "OK"
