@@ -136,8 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // selectAnalyzers resolves the -checks flag: empty means the full
 // suite; otherwise a comma-separated list of family aliases (det, map,
-// hot, snap, locks, err) or exact analyzer names. "hot" covers both the
-// per-function allocation checks and the inferred-closure checks.
+// hot, snap, locks, err) or exact analyzer names. "hot" covers both
+// checks over the inferred hot-path closure: allocation hygiene and
+// interface dispatch.
 func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
 	all := lint.All()
 	if spec == "" {

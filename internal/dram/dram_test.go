@@ -231,8 +231,8 @@ func BenchmarkPowerCycle1MB(b *testing.B) {
 func TestLeastFloat32SatisfyingExact(t *testing.T) {
 	thresholds := []float64{
 		0, 1e-9, -1e-9, 0.5, -0.5, 3.25, -3.25,
-		float64(float32(1.7)),              // exactly representable
-		1.7,                                // not representable
+		float64(float32(1.7)), // exactly representable
+		1.7,                   // not representable
 		math.Inf(1), math.Inf(-1), math.NaN(),
 	}
 	for _, th := range thresholds {

@@ -71,19 +71,15 @@ type PlainRegs struct {
 }
 
 // ReadX implements RegBacking.
-//voltvet:hotpath
 func (p *PlainRegs) ReadX(i int) uint64 { return p.X[i] }
 
 // WriteX implements RegBacking.
-//voltvet:hotpath
 func (p *PlainRegs) WriteX(i int, v uint64) { p.X[i] = v }
 
 // ReadV implements RegBacking.
-//voltvet:hotpath
 func (p *PlainRegs) ReadV(i int) [2]uint64 { return p.V[i] }
 
 // WriteV implements RegBacking.
-//voltvet:hotpath
 func (p *PlainRegs) WriteV(i int, v [2]uint64) { p.V[i] = v }
 
 // Flags is the NZCV condition flag set.
@@ -168,7 +164,6 @@ func (c *CPU) Reset(entry uint64) {
 }
 
 // X reads general-purpose register i (XZR reads as zero).
-//voltvet:hotpath
 func (c *CPU) X(i int) uint64 {
 	if i == XZR {
 		return 0
@@ -177,7 +172,6 @@ func (c *CPU) X(i int) uint64 {
 }
 
 // SetX writes general-purpose register i (writes to XZR are discarded).
-//voltvet:hotpath
 func (c *CPU) SetX(i int, v uint64) {
 	if i == XZR {
 		return
@@ -187,15 +181,12 @@ func (c *CPU) SetX(i int, v uint64) {
 
 // Secure reports whether the core is in the TrustZone secure state
 // (SCR_NS == 0 and not locked out of it).
-//voltvet:hotpath
 func (c *CPU) Secure() bool { return !c.NSLocked && c.scrNS == 0 }
 
 // V reads vector register i.
-//voltvet:hotpath
 func (c *CPU) V(i int) [2]uint64 { return c.Regs.ReadV(i) } //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
 
 // SetV writes vector register i.
-//voltvet:hotpath
 func (c *CPU) SetV(i int, v [2]uint64) { c.Regs.WriteV(i, v) } //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
 
 // UndefinedError reports execution of an undecodable word — e.g. a core
@@ -209,7 +200,6 @@ func (e *UndefinedError) Error() string {
 	return fmt.Sprintf("isa: undefined instruction %#08x at PC %#x", e.Word, e.PC)
 }
 
-//voltvet:hotpath
 func (c *CPU) condHolds(cond Cond) bool {
 	f := c.Flags
 	switch cond {
@@ -234,7 +224,6 @@ func (c *CPU) condHolds(cond Cond) bool {
 	}
 }
 
-//voltvet:hotpath
 func (c *CPU) setFlagsAdd(a, b uint64) uint64 {
 	r := a + b
 	c.Flags.N = r>>63 == 1
@@ -244,7 +233,6 @@ func (c *CPU) setFlagsAdd(a, b uint64) uint64 {
 	return r
 }
 
-//voltvet:hotpath
 func (c *CPU) setFlagsSub(a, b uint64) uint64 {
 	r := a - b
 	c.Flags.N = r>>63 == 1
@@ -258,7 +246,7 @@ func (c *CPU) setFlagsSub(a, b uint64) uint64 {
 // on memory faults or undefined instructions; the core keeps its state so
 // callers can inspect the failure.
 //
-//voltvet:hotpath root
+//voltvet:hotpath
 func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
@@ -288,8 +276,6 @@ func (c *CPU) Step() error {
 // can drive the core without a per-instruction fetch call. The word
 // feeds the undefined-instruction diagnostics, exactly as in Step.
 // Callers are responsible for the Halted check Step performs.
-//
-//voltvet:hotpath
 func (c *CPU) ExecDecoded(in Instr, word uint32) error {
 	if c.Fault != nil {
 		if d := c.Fault.OnInstr(c, in); d.Kind != FaultNone { //voltvet:ignore VV-HOT006 per-instruction fault hook; a direct glitch dependency would cycle the import graph
@@ -303,8 +289,6 @@ func (c *CPU) ExecDecoded(in Instr, word uint32) error {
 }
 
 // exec is the fault-free execute-and-retire body behind ExecDecoded.
-//
-//voltvet:hotpath
 func (c *CPU) exec(in Instr, word uint32) error {
 	next := c.PC + 4
 
@@ -427,7 +411,6 @@ func (c *CPU) exec(in Instr, word uint32) error {
 	return nil
 }
 
-//voltvet:hotpath
 func (c *CPU) readSysReg(id uint32) uint64 {
 	switch id {
 	case SysCurrentEL:
@@ -450,7 +433,6 @@ func (c *CPU) readSysReg(id uint32) uint64 {
 	}
 }
 
-//voltvet:hotpath
 func (c *CPU) writeSysReg(id uint32, v uint64) error {
 	switch id {
 	case SysRAMINDEX:

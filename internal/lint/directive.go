@@ -12,14 +12,14 @@ import (
 //	voltvet:ignore VV-XXXNNN reason...   suppress one finding in place
 //	voltvet:nosnap reason...             waive one struct field from the
 //	                                     snapshot-completeness contract
-//	voltvet:hotpath [root]               allocation-free hot-path marker;
-//	                                     "root" seeds closure inference
+//	voltvet:hotpath                      hot-path root; the allocation
+//	                                     checks cover everything it reaches
 //
 // (each spelled as a //-comment with no space after the slashes).
 // Every verb funnels through parseDirective so the malformed-directive
 // diagnostics stay consistent: a directive that parses but is missing
 // its operands — an ignore without an ID or reason, a nosnap without a
-// reason, a hotpath with an unknown argument, or an unknown verb
+// reason, a hotpath with any operand, or an unknown verb
 // entirely — is reported as VV-IGN001 rather than silently doing
 // nothing. Silencing and waiving must stay auditable.
 const directivePrefix = "//voltvet:"
@@ -40,8 +40,6 @@ type directive struct {
 	id string
 	// reason is the mandatory justification (ignore and nosnap).
 	reason string
-	// root marks a hot-path closure root (hotpath only).
-	root bool
 	// malformed carries the parse complaint; non-empty means the
 	// directive suppresses/waives/marks nothing and must be reported.
 	malformed string
@@ -76,12 +74,8 @@ func parseDirective(c *ast.Comment) (d directive, ok bool) {
 		d.reason = strings.Join(fields, " ")
 	case "hotpath":
 		d.kind = dirHotpath
-		switch {
-		case len(fields) == 0:
-		case len(fields) == 1 && fields[0] == "root":
-			d.root = true
-		default:
-			d.malformed = "malformed voltvet:hotpath directive: want \"voltvet:hotpath\" or \"voltvet:hotpath root\" (as a //-comment)"
+		if len(fields) != 0 {
+			d.malformed = "malformed voltvet:hotpath directive: want a bare \"voltvet:hotpath\" (as a //-comment); it marks a hot-path root and takes no operands"
 			return d, true
 		}
 	default:

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,105 +93,217 @@ func TestDeterministicImportGraph(t *testing.T) {
 	}
 }
 
-// formerHotpathChain is the hand-maintained annotation list this repo
-// carried before closure inference, frozen as test data: the 39
-// functions PRs 2–9 accumulated by reading call chains off benchmarks
-// and transcribing them by hand. The hot path is now COMPUTED —
-// InferHotPath propagates //voltvet:hotpath root seeds through the call
-// graph — and this list survives only as a lower bound proving the
-// inference never covers less than the hand audit did. It is never
-// updated when new functions go hot; that is the point.
-var formerHotpathChain = []string{
+// formerHotpath is the hot path as it stood when the hand-written
+// per-function annotations were deleted: the 175 functions that carried
+// //voltvet:hotpath then, which was exactly the closure the roots reach.
+// It is frozen test data and a lower bound. The closure may grow as new
+// code goes hot; it must never shrink below this list, because the
+// allocation checks would then quietly stop covering a function the
+// dynamic zero-alloc gates exercise.
+var formerHotpath = []string{
+	"(*repro/internal/cache.Cache).Access",
+	"(*repro/internal/cache.Cache).CleanInvalidateVA",
+	"(*repro/internal/cache.Cache).ContentGen",
+	"(*repro/internal/cache.Cache).Enabled",
+	"(*repro/internal/cache.Cache).InvalidateAll",
+	"(*repro/internal/cache.Cache).Line",
+	"(*repro/internal/cache.Cache).RAMIndexData",
+	"(*repro/internal/cache.Cache).RAMIndexTag",
+	"(*repro/internal/cache.Cache).ReadLine",
+	"(*repro/internal/cache.Cache).ResidentWaySet",
+	"(*repro/internal/cache.Cache).SecureLineAt",
+	"(*repro/internal/cache.Cache).TouchFetchHit",
+	"(*repro/internal/cache.Cache).WriteLine",
+	"(*repro/internal/cache.Cache).ZeroLineVA",
+	"(*repro/internal/cache.Cache).accessECC",
+	"(*repro/internal/cache.Cache).bypass",
+	"(*repro/internal/cache.Cache).fill",
+	"(*repro/internal/cache.Cache).index",
+	"(*repro/internal/cache.Cache).lineAddr",
+	"(*repro/internal/cache.Cache).lookup",
+	"(*repro/internal/cache.Cache).markDirty",
+	"(*repro/internal/cache.Cache).memoStore",
+	"(*repro/internal/cache.Cache).readLineFast",
+	"(*repro/internal/cache.Cache).setTagEntry",
+	"(*repro/internal/cache.Cache).tagEntry",
+	"(*repro/internal/cache.Cache).touch",
+	"(*repro/internal/cache.Cache).victim",
+	"(*repro/internal/cache.Cache).writeLineFast",
+	"(*repro/internal/dram.Module).PowerOff",
+	"(*repro/internal/dram.Module).PowerOn",
+	"(*repro/internal/dram.Module).Powered",
+	"(*repro/internal/dram.Module).ReadLine",
+	"(*repro/internal/dram.Module).ReadUintN",
+	"(*repro/internal/dram.Module).WriteLine",
+	"(*repro/internal/dram.Module).WriteUintN",
+	"(*repro/internal/dram.Module).check",
+	"(*repro/internal/dram.Module).dropPending",
+	"(*repro/internal/dram.Module).ensureRetentionTo",
+	"(*repro/internal/dram.Module).groundByte",
+	"(*repro/internal/dram.Module).markRange",
+	"(*repro/internal/dram.Module).markSnapRange",
+	"(*repro/internal/dram.Module).resolveAll",
+	"(*repro/internal/dram.Module).resolveRange",
+	"(*repro/internal/dram.Module).resolveSlow",
+	"(*repro/internal/glitch.Glitcher).Disarm",
+	"(*repro/internal/glitch.Glitcher).OnInstr",
+	"(*repro/internal/glitch.Glitcher).closePulse",
+	"(*repro/internal/glitch.Glitcher).triggerHit",
 	"(*repro/internal/isa.CPU).ExecDecoded",
+	"(*repro/internal/isa.CPU).Secure",
+	"(*repro/internal/isa.CPU).SetV",
+	"(*repro/internal/isa.CPU).SetX",
 	"(*repro/internal/isa.CPU).Step",
+	"(*repro/internal/isa.CPU).V",
+	"(*repro/internal/isa.CPU).X",
+	"(*repro/internal/isa.CPU).condHolds",
 	"(*repro/internal/isa.CPU).exec",
+	"(*repro/internal/isa.CPU).execFaulted",
 	"(*repro/internal/isa.CPU).execProbed",
+	"(*repro/internal/isa.CPU).readSysReg",
+	"(*repro/internal/isa.CPU).setFlagsAdd",
+	"(*repro/internal/isa.CPU).setFlagsSub",
+	"(*repro/internal/isa.CPU).writeSysReg",
+	"(*repro/internal/isa.PlainRegs).ReadV",
+	"(*repro/internal/isa.PlainRegs).ReadX",
+	"(*repro/internal/isa.PlainRegs).WriteV",
+	"(*repro/internal/isa.PlainRegs).WriteX",
 	"(*repro/internal/isa.TraceSink).BusAccess",
 	"(*repro/internal/isa.TraceSink).RegWrite",
 	"(*repro/internal/isa.TraceSink).Retire",
+	"(*repro/internal/power.BenchSupply).OfferedVolts",
+	"(*repro/internal/power.Domain).NominalVolts",
+	"(*repro/internal/power.Domain).PulseDown",
+	"(*repro/internal/power.Domain).PulseEnd",
+	"(*repro/internal/power.Domain).Reresolve",
+	"(*repro/internal/power.Domain).Volts",
+	"(*repro/internal/power.Domain).setVolts",
+	"(*repro/internal/power.Regulator).OfferedVolts",
+	"(*repro/internal/sim.Env).Advance",
+	"(*repro/internal/sim.Env).Logf",
+	"(*repro/internal/sim.Env).Now",
+	"(*repro/internal/sim.Env).TemperatureC",
+	"(*repro/internal/sim.Env).TemperatureK",
+	"(*repro/internal/sim.EventLog).Add",
+	"(*repro/internal/soc.RegFile).ReadV",
+	"(*repro/internal/soc.RegFile).ReadX",
+	"(*repro/internal/soc.RegFile).WriteV",
+	"(*repro/internal/soc.RegFile).WriteX",
+	"(*repro/internal/soc.SoC).Barrier",
+	"(*repro/internal/soc.SoC).DCCIVAC",
+	"(*repro/internal/soc.SoC).DCZVA",
 	"(*repro/internal/soc.SoC).FetchDecoded",
+	"(*repro/internal/soc.SoC).FetchInstr",
+	"(*repro/internal/soc.SoC).ICIALLU",
 	"(*repro/internal/soc.SoC).Load",
+	"(*repro/internal/soc.SoC).Load128",
+	"(*repro/internal/soc.SoC).RAMIndexRead",
 	"(*repro/internal/soc.SoC).Store",
+	"(*repro/internal/soc.SoC).Store128",
 	"(*repro/internal/soc.SoC).access",
+	"(*repro/internal/soc.SoC).inDRAM",
+	"(*repro/internal/soc.SoC).inIRAM",
+	"(*repro/internal/soc.SoC).inROM",
 	"(*repro/internal/soc.SoC).installPredec",
 	"(*repro/internal/soc.SoC).predecGen",
 	"(*repro/internal/soc.SoC).runSuperblock",
 	"(*repro/internal/soc.SoC).updateHistoryBuffers",
-	"(*repro/internal/soc.RegFile).ReadX",
-	"(*repro/internal/soc.RegFile).WriteX",
-	"(*repro/internal/cache.Cache).Access",
-	"(*repro/internal/cache.Cache).TouchFetchHit",
-	"(*repro/internal/cache.Cache).accessECC",
-	"(*repro/internal/cache.Cache).bypass",
-	"(*repro/internal/cache.Cache).index",
-	"(*repro/internal/cache.Cache).lookup",
-	"(*repro/internal/cache.Cache).markDirty",
-	"(*repro/internal/cache.Cache).memoStore",
-	"(*repro/internal/cache.Cache).touch",
-	"(*repro/internal/dram.Module).markRange",
-	"(*repro/internal/dram.Module).markSnapRange",
-	"(*repro/internal/dram.Module).resolveRange",
+	"(*repro/internal/soc.dramLoad).SetRail",
+	"(*repro/internal/soc.railWatcher).SetRail",
+	"(*repro/internal/sram.Array).Gen",
 	"(*repro/internal/sram.Array).PeekUint64",
+	"(*repro/internal/sram.Array).Powered",
 	"(*repro/internal/sram.Array).ReadBytesInto",
 	"(*repro/internal/sram.Array).ReadUint64",
 	"(*repro/internal/sram.Array).ReadUintN",
 	"(*repro/internal/sram.Array).RestoreSnapshot",
+	"(*repro/internal/sram.Array).SetRail",
 	"(*repro/internal/sram.Array).SnapshotInto",
+	"(*repro/internal/sram.Array).WriteBytes",
 	"(*repro/internal/sram.Array).WriteUint64",
 	"(*repro/internal/sram.Array).WriteUintN",
+	"(*repro/internal/sram.Array).armSnapDirty",
+	"(*repro/internal/sram.Array).cellStatics",
+	"(*repro/internal/sram.Array).checkAccess",
+	"(*repro/internal/sram.Array).imprintPowerUp",
+	"(*repro/internal/sram.Array).logDecayThreshold",
+	"(*repro/internal/sram.Array).markSnapAll",
 	"(*repro/internal/sram.Array).markSnapPages",
+	"(*repro/internal/sram.Array).mode2Memo",
+	"(*repro/internal/sram.Array).newBiasSampler",
+	"(*repro/internal/sram.Array).powerUpAll",
+	"(*repro/internal/sram.Array).powerUpAllScalar",
+	"(*repro/internal/sram.Array).powerUpAllWords",
+	"(*repro/internal/sram.Array).powerUpCellWith",
+	"(*repro/internal/sram.Array).resolveDecay",
+	"(*repro/internal/sram.Array).resolveDecayScalar",
+	"(*repro/internal/sram.Array).resolveDecayWords",
+	"(*repro/internal/sram.Array).setBit",
+	"(*repro/internal/sram.Array).storeByte",
+	"(*repro/internal/xrand.Rand).Bernoulli",
+	"(*repro/internal/xrand.Rand).Bool",
+	"(*repro/internal/xrand.Rand).FillNormFloat32",
+	"(*repro/internal/xrand.Rand).Float64",
+	"(*repro/internal/xrand.Rand).SetState",
+	"(*repro/internal/xrand.Rand).Uint64",
+	"(repro/internal/cache.Config).Sets",
+	"(repro/internal/dram.RetentionModel).MedianRetentionAt",
+	"(repro/internal/sram.RetentionModel).MedianRetentionAt",
+	"repro/internal/cache.ECCDecodeWord",
+	"repro/internal/cache.ECCEncodeWord",
+	"repro/internal/cache.ParseTagEntry",
+	"repro/internal/cache.eccDecodeLine",
+	"repro/internal/cache.eccEncodeLine",
+	"repro/internal/cache.eccMask",
+	"repro/internal/dram.leastFloat32Satisfying",
+	"repro/internal/glitch.FaultProbability",
+	"repro/internal/glitch.decide",
+	"repro/internal/isa.Decode",
+	"repro/internal/isa.HasGPRDest",
+	"repro/internal/isa.IsBranch",
+	"repro/internal/isa.SysRegName",
+	"repro/internal/isa.UnpackRAMIndex",
+	"repro/internal/isa.accessSize",
+	"repro/internal/isa.signExtend",
+	"repro/internal/sim.CelsiusToKelvin",
+	"repro/internal/sram.biasedThreshold",
+	"repro/internal/sram.fieldSum16",
+	"repro/internal/sram.ihNormal",
+	"repro/internal/sram.maxSumWhere",
+	"repro/internal/sram.minIntWhere",
+	"repro/internal/sram.minSumWhere",
+	"repro/internal/sram.mode2Batch64",
+	"repro/internal/sram.mode2PhaseA",
+	"repro/internal/xrand.Mix64",
+	"repro/internal/xrand.SplitMix64",
 }
 
-// TestHotpathClosureCoversFormerChain is the metatest behind deleting
-// the hand-maintained list: the inferred closure must be a superset of
-// every function the old hand audit had pinned. A regression here means
-// closure inference lost a path the dynamic zero-alloc gates exercise —
-// a broken call-graph edge or a deleted root — not that the pin is out
-// of date.
+// hotRoots are the closure seeds: the step loop, the superblock
+// dispatcher and the SRAM snapshot/restore pair.
+var hotRoots = []string{
+	"(*repro/internal/isa.CPU).Step",
+	"(*repro/internal/soc.SoC).runSuperblock",
+	"(*repro/internal/sram.Array).RestoreSnapshot",
+	"(*repro/internal/sram.Array).SnapshotInto",
+}
+
+// TestHotpathClosureCoversFormerChain proves the allocation checks cannot
+// narrow: the roots are exactly hotRoots and the inferred closure
+// is a superset of formerHotpath. A failure means closure inference
+// lost a path — a broken call-graph edge or a deleted root — not that
+// the pin is out of date.
 func TestHotpathClosureCoversFormerChain(t *testing.T) {
 	mod := loadRepoModule(t)
 	cfg := DefaultConfig()
 	cfg.ModulePath = mod.Path
 	hp := InferHotPath(mod, cfg)
 
-	if len(hp.Roots) == 0 {
-		t.Fatal("no //voltvet:hotpath root seeds found; closure inference has nothing to propagate from")
+	if !slices.Equal(hp.Roots, hotRoots) {
+		t.Errorf("hot-path roots = %v, want %v", hp.Roots, hotRoots)
 	}
-	var missing []string
-	for _, name := range formerHotpathChain {
+	for _, name := range formerHotpath {
 		if _, ok := hp.Closure[name]; !ok {
-			missing = append(missing, name)
+			t.Errorf("formerly annotated hot-path function %s is not in the inferred closure (roots %v)", name, hp.Roots)
 		}
-	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		t.Errorf("former hand-pinned chain member %s is not in the inferred closure (roots %v)", name, hp.Roots)
-	}
-	if len(hp.Closure) < len(formerHotpathChain) {
-		t.Errorf("inferred closure has %d functions, fewer than the former hand-pinned %d",
-			len(hp.Closure), len(formerHotpathChain))
-	}
-}
-
-// TestHotpathClosureAnnotated proves the annotation sweep is complete
-// the same way CI does: every function the closure reaches carries the
-// directive, so the per-function allocation checks cover the entire
-// inferred hot path, not just the functions someone remembered.
-func TestHotpathClosureAnnotated(t *testing.T) {
-	mod := loadRepoModule(t)
-	cfg := DefaultConfig()
-	cfg.ModulePath = mod.Path
-	hp := InferHotPath(mod, cfg)
-	marked := HotpathFuncs(mod, cfg)
-
-	var unmarked []string
-	for name := range hp.Closure {
-		if _, ok := marked[name]; !ok {
-			unmarked = append(unmarked, name)
-		}
-	}
-	sort.Strings(unmarked)
-	for _, name := range unmarked {
-		t.Errorf("%s is in the inferred hot-path closure but carries no //voltvet:hotpath directive", name)
 	}
 }

@@ -1,7 +1,7 @@
 // Package hotpathpkg exercises the hot-path allocation analyzer:
-// functions tagged //voltvet:hotpath may not allocate on the live path,
-// while error and panic paths stay exempt, and untagged functions are
-// ignored entirely.
+// functions tagged //voltvet:hotpath (and everything they reach) may not
+// allocate on the live path, while error and panic paths stay exempt,
+// and functions no root reaches are ignored entirely.
 package hotpathpkg
 
 import (
@@ -34,7 +34,7 @@ func Step(name string, n int) (int, error) {
 	return total, nil
 }
 
-// Warm is identical but untagged; nothing is reported.
+// Warm is identical but unreached; nothing is reported.
 func Warm(name string, n int) string {
 	return fmt.Sprintf("%s-%d", name, n)
 }

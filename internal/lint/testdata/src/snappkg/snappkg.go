@@ -19,9 +19,9 @@ type Dev struct {
 	covered int
 	// deep is covered through the capture/restore helpers, proving the
 	// contract is judged on the pair's call closure, not its bodies.
-	deep    int
-	missed  int // want "VV-SNAP001"
-	capOnly int // want "VV-SNAP002"
+	deep     int
+	missed   int // want "VV-SNAP001"
+	capOnly  int // want "VV-SNAP002"
 	restOnly int // want "VV-SNAP003"
 	// gen is a generation counter: bumped by the restore, never captured.
 	gen uint64

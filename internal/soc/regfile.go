@@ -45,15 +45,11 @@ func (r *RegFile) Array() *sram.Array { return r.arr }
 func (r *RegFile) SetTraceSink(sink *isa.TraceSink) { r.sink = sink }
 
 // ReadX implements isa.RegBacking.
-//
-//voltvet:hotpath
 func (r *RegFile) ReadX(i int) uint64 {
 	return r.arr.ReadUint64(regfileXBase + i*8)
 }
 
 // WriteX implements isa.RegBacking.
-//
-//voltvet:hotpath
 func (r *RegFile) WriteX(i int, v uint64) {
 	if r.sink != nil {
 		r.sink.RegWrite(r.arr.PeekUint64(regfileXBase+i*8), v)
@@ -62,14 +58,12 @@ func (r *RegFile) WriteX(i int, v uint64) {
 }
 
 // ReadV implements isa.RegBacking.
-//voltvet:hotpath
 func (r *RegFile) ReadV(i int) [2]uint64 {
 	base := regfileVBase + i*16
 	return [2]uint64{r.arr.ReadUint64(base), r.arr.ReadUint64(base + 8)}
 }
 
 // WriteV implements isa.RegBacking.
-//voltvet:hotpath
 func (r *RegFile) WriteV(i int, v [2]uint64) {
 	base := regfileVBase + i*16
 	r.arr.WriteUint64(base, v[0])

@@ -1,32 +1,10 @@
-package soc
+package soc_test
 
-import "testing"
+import (
+	"testing"
 
-// steppingSoC boots a cached, never-halting load/increment/store loop and
-// warms it until the execution state is steady: instruction lines resident
-// in the L1I and predecoded, the data line resident in the L1D, the TLB
-// slot memoized. Step then exercises the full fast path — predecoded
-// fetch, zero-copy cache hit load, zero-copy hit store — with no misses.
-func steppingSoC(tb testing.TB) *SoC {
-	s, _ := poweredSoC(tb, BCM2711(), Options{})
-	words := mustAsm(tb, PayloadBase, `
-        LDIMM X1, #0x100000
-loop:   LDR X2, [X1]
-        ADDI X2, X2, #1
-        STR X2, [X1]
-        B loop
-    `)
-	if err := s.Boot(&BootImage{Words: words, EnableCaches: true}); err != nil {
-		tb.Fatal(err)
-	}
-	cpu := s.Cores[0].CPU
-	for i := 0; i < 256; i++ {
-		if err := cpu.Step(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return s
-}
+	"repro/internal/soc/soctest"
+)
 
 // BenchmarkCPUStep measures steady-state instruction execution on the
 // fast path and reports throughput in instructions per second. This is
@@ -34,16 +12,7 @@ loop:   LDR X2, [X1]
 // zero-copy cache refactor: every op is one retired instruction of a
 // cache-hit load/store loop.
 func BenchmarkCPUStep(b *testing.B) {
-	s := steppingSoC(b)
-	cpu := s.Cores[0].CPU
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cpu.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	soctest.BenchStep(b, soctest.Stepping(b, nil))
 }
 
 // TestStepSteadyStateZeroAlloc pins the allocation-free contract: once
@@ -51,18 +20,5 @@ func BenchmarkCPUStep(b *testing.B) {
 // allocate at all. A regression here silently costs every experiment
 // tens of millions of allocations.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
-	s := steppingSoC(t)
-	cpu := s.Cores[0].CPU
-	var stepErr error
-	allocs := testing.AllocsPerRun(10000, func() {
-		if err := cpu.Step(); err != nil {
-			stepErr = err
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state Step allocates %.1f times per instruction, want 0", allocs)
-	}
+	soctest.AssertZeroAlloc(t, soctest.Stepping(t, nil), "steady-state")
 }

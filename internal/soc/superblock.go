@@ -159,7 +159,7 @@ func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 // buffers and cache touch before execute). It returns on block end,
 // taken branch, halt, budget exhaustion, self-invalidation, or error.
 //
-//voltvet:hotpath root
+//voltvet:hotpath
 func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 	cpu := c.CPU
 	var n uint64

@@ -65,8 +65,6 @@ type ArraySnapshot struct {
 // markSnapPages records that packed words [w0, w1] may have changed. The
 // nil check is the entire cost when no snapshot is armed, which keeps
 // the architectural write paths on their zero-allocation budget.
-//
-//voltvet:hotpath
 func (a *Array) markSnapPages(w0, w1 int) {
 	if a.snapDirty == nil {
 		return
@@ -80,7 +78,6 @@ func (a *Array) markSnapPages(w0, w1 int) {
 // most of the array, so per-word tracking would cost more than it saves.
 // The final bitmap word is masked to the real page count: restore walks
 // set bits, and a phantom page past the array would walk off the end.
-//voltvet:hotpath
 func (a *Array) markSnapAll() {
 	if a.snapDirty == nil {
 		return
@@ -95,7 +92,6 @@ func (a *Array) markSnapAll() {
 }
 
 // armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
-//voltvet:hotpath
 func (a *Array) armSnapDirty() {
 	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
 	if a.snapDirty == nil {
@@ -141,7 +137,7 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 // tracking against s. The content generation is bumped, not rewound, so
 // stamps handed out after the capture can never falsely validate.
 //
-//voltvet:hotpath root
+//voltvet:hotpath
 func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	if s.arr != a {
 		panic(fmt.Sprintf("sram: RestoreSnapshot of %s onto %s", s.arr.name, a.name))

@@ -95,7 +95,6 @@ func DefaultRetentionModel() RetentionModel {
 
 // MedianRetentionAt returns the median intrinsic retention time at the
 // given temperature in Kelvin.
-//voltvet:hotpath
 func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
 		panic("sram: non-positive absolute temperature")
@@ -114,7 +113,7 @@ func (m RetentionModel) RetentionThreshold() float64 {
 // Cache data RAMs, tag RAMs, register files, and iRAMs are all Arrays of
 // different sizes.
 type Array struct {
-	name  string
+	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env   *sim.Env
 	model RetentionModel
@@ -173,7 +172,7 @@ type Array struct {
 	//voltvet:nosnap lazily built pure function of cellSeed; immutable once built (see mode2PhaseA)
 	m2Biased []uint64
 	//voltvet:nosnap lazily built pure function of cellSeed; immutable once built (see mode2PhaseA)
-	m2Pref   []uint64
+	m2Pref []uint64
 	// scalarKernels forces the per-bit reference kernels instead of the
 	// word-vectorized ones. Both produce bit-identical state and consume
 	// the rng stream identically; the flag exists so the differential
@@ -204,7 +203,6 @@ func NewArray(env *sim.Env, name string, n int, model RetentionModel, seed uint6
 
 // ihNormal converts a 64-bit hash into an approximately standard normal
 // variate via the Irwin–Hall sum of its four 16-bit fields.
-//voltvet:hotpath
 func ihNormal(h uint64) float64 {
 	sum := float64(h&0xFFFF) + float64(h>>16&0xFFFF) + float64(h>>32&0xFFFF) + float64(h>>48)
 	// mean 2·65535, stddev √(4·(65536²−1)/12) ≈ 37837.2
@@ -212,7 +210,6 @@ func ihNormal(h uint64) float64 {
 }
 
 // cellStatics derives cell i's silicon-lottery properties from its hash.
-//voltvet:hotpath
 func (a *Array) cellStatics(i int) (drv, logRetention float64, biased, preferred bool) {
 	st := a.cellSeed ^ uint64(i)*0x9e3779b97f4a7c15
 	h1 := xrand.SplitMix64(&st)
@@ -244,7 +241,6 @@ func (a *Array) RailVolts() float64 { return a.railVolts }
 
 // Powered reports whether the rail is above the population retention
 // threshold (enough for every cell).
-//voltvet:hotpath
 func (a *Array) Powered() bool {
 	return a.railVolts >= a.retThreshold
 }
@@ -253,7 +249,6 @@ func (a *Array) Powered() bool {
 // simulation time. Crossing below the retention threshold starts the
 // decay clock; crossing back above resolves per-cell survival against
 // the lowest voltage seen during the excursion.
-//voltvet:hotpath
 func (a *Array) SetRail(volts float64) {
 	if volts == a.railVolts && (a.everPowered || volts == 0) {
 		return
@@ -291,7 +286,6 @@ func (a *Array) SetRail(volts float64) {
 	}
 }
 
-//voltvet:hotpath
 func (a *Array) setBit(i int, v bool) {
 	if v {
 		a.bits[i>>6] |= 1 << (uint(i) & 63)
@@ -304,7 +298,6 @@ func (a *Array) bit(i int) bool {
 	return a.bits[i>>6]>>(uint(i)&63)&1 == 1
 }
 
-//voltvet:hotpath
 func (a *Array) checkAccess(op string) {
 	if !a.Powered() {
 		panic(fmt.Sprintf("sram: %s on unpowered array %s (rail %.2fV)", op, a.name, a.railVolts))
@@ -329,7 +322,6 @@ func (a *Array) ReadBit(i int) bool {
 // storeByte stores value v into byte slot j of the packed words. Byte j
 // of the array occupies bits [8j, 8j+8) which sit inside packed word j>>3
 // at shift 8·(j&7) — so byte access is O(1).
-//voltvet:hotpath
 func (a *Array) storeByte(j int, v byte) {
 	shift := 8 * uint(j&7)
 	w := &a.bits[j>>3]
@@ -339,7 +331,6 @@ func (a *Array) storeByte(j int, v byte) {
 // WriteBytes stores b starting at byte offset off. Spans that cover full
 // 64-bit words are stored word-at-a-time; only the unaligned head and
 // tail go through the byte path.
-//voltvet:hotpath
 func (a *Array) WriteBytes(off int, b []byte) {
 	a.checkAccess("WriteBytes")
 	if off < 0 || (off+len(b))*8 > a.n {
@@ -389,8 +380,6 @@ func (a *Array) ReadBytes(off, n int) []byte {
 // WriteUint64 stores a 64-bit little-endian word at byte offset off. It
 // is allocation-free: an aligned store is a single packed-word write, an
 // unaligned one touches the two straddled words.
-//
-//voltvet:hotpath
 func (a *Array) WriteUint64(off int, v uint64) {
 	a.checkAccess("WriteUint64")
 	if off < 0 || (off+8)*8 > a.n {
@@ -414,8 +403,6 @@ func (a *Array) WriteUint64(off int, v uint64) {
 // power-trace capturer) that must read cell contents at zero
 // architectural and near-zero runtime cost. off must be in range and
 // 8-byte aligned reads are the fast path, exactly as for ReadUint64.
-//
-//voltvet:hotpath
 func (a *Array) PeekUint64(off int) uint64 {
 	w := off >> 3
 	shift := 8 * uint(off&7)
@@ -427,8 +414,6 @@ func (a *Array) PeekUint64(off int) uint64 {
 
 // ReadUint64 loads a 64-bit little-endian word from byte offset off
 // without allocating.
-//
-//voltvet:hotpath
 func (a *Array) ReadUint64(off int) uint64 {
 	a.checkAccess("ReadUint64")
 	if off < 0 || (off+8)*8 > a.n {
@@ -446,8 +431,6 @@ func (a *Array) ReadUint64(off int) uint64 {
 // off, for 1 ≤ size ≤ 8. Like WriteUint64 it operates directly on the
 // packed words — at most two are touched — so subword cache traffic
 // (byte/half/word stores, ECC-word updates) never needs a scratch slice.
-//
-//voltvet:hotpath
 func (a *Array) WriteUintN(off, size int, v uint64) {
 	a.checkAccess("WriteUintN")
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
@@ -475,8 +458,6 @@ func (a *Array) WriteUintN(off, size int, v uint64) {
 
 // ReadUintN loads size bytes little-endian from byte offset off, for
 // 1 ≤ size ≤ 8, without allocating.
-//
-//voltvet:hotpath
 func (a *Array) ReadUintN(off, size int) uint64 {
 	a.checkAccess("ReadUintN")
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
@@ -501,8 +482,6 @@ func (a *Array) ReadUintN(off, size int) uint64 {
 // ReadBytesInto copies len(dst) bytes starting at byte offset off into
 // dst — the allocation-free form of ReadBytes, used by the cache fill
 // and writeback paths to reuse a scratch line buffer.
-//
-//voltvet:hotpath
 func (a *Array) ReadBytesInto(off int, dst []byte) {
 	a.checkAccess("ReadBytesInto")
 	n := len(dst)
@@ -546,7 +525,6 @@ func (a *Array) Fill(v byte) {
 // resolution) that can change the array’s contents. A matching stamp
 // guarantees the content a consumer cached from this array is still
 // exactly what the array holds.
-//voltvet:hotpath
 func (a *Array) Gen() uint64 { return a.gen }
 
 // Snapshot returns the full content of the array as bytes. It is the
@@ -564,7 +542,7 @@ func (a *Array) Snapshot() []byte {
 // loops that fingerprint an array per trial can reuse one buffer instead
 // of allocating a fresh image each time.
 //
-//voltvet:hotpath root
+//voltvet:hotpath
 func (a *Array) SnapshotInto(dst []byte) {
 	a.ReadBytesInto(0, dst)
 }

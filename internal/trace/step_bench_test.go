@@ -3,53 +3,29 @@ package trace_test
 import (
 	"testing"
 
-	"repro/internal/isa"
-	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/soc"
+	"repro/internal/soc/soctest"
 	"repro/internal/trace"
 )
 
-// steppingBench mirrors internal/glitch's harness: a cached,
-// never-halting load/increment/store loop warmed to steady state, with
-// a trace capturer constructed against core 0. The capturer goes
-// through one arm/disarm cycle so the CPU has seen attach and detach;
-// callers arm (or not) on top of that.
-func steppingBench(tb testing.TB, arena int) (*soc.SoC, *trace.Capturer) {
-	tb.Helper()
-	env := sim.NewEnv()
-	spec := soc.BCM2711()
-	s, err := soc.New(env, spec, soc.Options{}, 0xC0FFEE)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	power.NewBenchSupply(env, "bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
-	words, err := isa.Assemble(soc.PayloadBase, `
-        LDIMM X1, #0x100000
-loop:   LDR X2, [X1]
-        ADDI X2, X2, #1
-        STR X2, [X1]
-        B loop
-    `)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := s.Boot(&soc.BootImage{Words: words, EnableCaches: true}); err != nil {
-		tb.Fatal(err)
-	}
-	cpu := s.Cores[0].CPU
-	c, err := trace.New(s, 0, arena)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	c.Arm()
-	c.Disarm()
-	for i := 0; i < 256; i++ {
-		if err := cpu.Step(); err != nil {
+// arena is the capturer's sample capacity; a power of two, so the armed
+// benchmark can rewind it with a mask.
+const arena = 1 << 16
+
+// steppingCapturer is the shared stepping rig with a trace capturer
+// constructed against core 0. The capturer goes through one arm/disarm
+// cycle so the CPU has seen attach and detach; callers arm (or not) on
+// top of that.
+func steppingCapturer(tb testing.TB) (*soc.SoC, *trace.Capturer) {
+	var c *trace.Capturer
+	s := soctest.Stepping(tb, func(s *soc.SoC) {
+		var err error
+		if c, err = trace.New(s, 0, arena); err != nil {
 			tb.Fatal(err)
 		}
-	}
+		c.Arm()
+		c.Disarm()
+	})
 	return s, c
 }
 
@@ -58,16 +34,8 @@ loop:   LDR X2, [X1]
 // the plain BenchmarkCPUStep number — the disarmed hook is one nil
 // check on the retire path and one on the bus path.
 func BenchmarkCPUStepTraceDisarmed(b *testing.B) {
-	s, _ := steppingBench(b, 1<<16)
-	cpu := s.Cores[0].CPU
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cpu.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	s, _ := steppingCapturer(b)
+	soctest.BenchStep(b, s)
 }
 
 // BenchmarkCPUStepTraceArmed measures the armed per-step cost: Hamming
@@ -75,8 +43,7 @@ func BenchmarkCPUStepTraceDisarmed(b *testing.B) {
 // The arena is re-armed whenever it fills so the steady-state path
 // (bounded store) is what dominates the measurement.
 func BenchmarkCPUStepTraceArmed(b *testing.B) {
-	const arena = 1 << 16
-	s, c := steppingBench(b, arena)
+	s, c := steppingCapturer(b)
 	cpu := s.Cores[0].CPU
 	c.Arm()
 	defer c.Disarm()
@@ -121,40 +88,16 @@ func BenchmarkTraceCapture(b *testing.B) {
 // state Step with a constructed-and-disarmed capturer allocates
 // nothing.
 func TestStepTraceDisarmedZeroAlloc(t *testing.T) {
-	s, _ := steppingBench(t, 1<<16)
-	cpu := s.Cores[0].CPU
-	var stepErr error
-	allocs := testing.AllocsPerRun(10000, func() {
-		if err := cpu.Step(); err != nil {
-			stepErr = err
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("disarmed-capturer Step allocates %.1f times per instruction, want 0", allocs)
-	}
+	s, _ := steppingCapturer(t)
+	soctest.AssertZeroAlloc(t, s, "disarmed-capturer")
 }
 
 // TestStepTraceArmedZeroAlloc pins the armed contract: the whole
 // sample-emit path — retire probe, bus probe, Hamming arithmetic, rail
 // reads, arena store — allocates nothing in steady state.
 func TestStepTraceArmedZeroAlloc(t *testing.T) {
-	s, c := steppingBench(t, 1<<16)
-	cpu := s.Cores[0].CPU
+	s, c := steppingCapturer(t)
 	c.Arm()
 	defer c.Disarm()
-	var stepErr error
-	allocs := testing.AllocsPerRun(10000, func() {
-		if err := cpu.Step(); err != nil {
-			stepErr = err
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("armed-capturer Step allocates %.1f times per instruction, want 0", allocs)
-	}
+	soctest.AssertZeroAlloc(t, s, "armed-capturer")
 }

@@ -23,7 +23,8 @@
 // access. The armed emit path is direct field arithmetic on a shared
 // isa.TraceSink — no interface dispatch — and allocation-free (samples
 // land in a preallocated arena by cursor bump), pinned statically by
-// //voltvet:hotpath and dynamically by TestStepTraceArmedZeroAlloc.
+// voltvet's inferred hot-path closure and dynamically by
+// TestStepTraceArmedZeroAlloc.
 // Capture state composes into isa.CPUState and therefore into
 // soc.Snapshot, so per-trial captures fork off copy-on-write snapshots
 // like glitched trials do.
@@ -60,9 +61,9 @@ const (
 // Arm attaches the sink at all three tap points; Disarm detaches it.
 type Capturer struct {
 	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
-	soc  *soc.SoC
+	soc *soc.SoC
 	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
-	cpu  *isa.CPU
+	cpu *isa.CPU
 	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
 	regs *soc.RegFile
 	// coreDom/memDom are the rails the static-draw term reads at Arm.

@@ -1,10 +1,18 @@
 #!/bin/sh
-# CI gate: vet, build, race-enabled tests (the parallel runner's
+# CI gate: gofmt, vet, build, race-enabled tests (the parallel runner's
 # determinism tests raise GOMAXPROCS themselves, so a single-core CI
 # machine still exercises multi-worker execution), and a one-iteration
 # smoke over the hot-path micro-benchmarks. Equivalent to `make check`.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (the tree must be gofmt-clean)"
+unformatted=$(gofmt -l cmd internal examples perfbench *.go)
+if [ -n "$unformatted" ]; then
+	echo "error: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
