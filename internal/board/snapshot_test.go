@@ -21,7 +21,7 @@ import (
 // restore that has dirty state to rewind.
 func TestRestoreSnapshotZeroAlloc(t *testing.T) {
 	const imageBase, statusAddr, proofAddr = 0x100000, 0x4000, 0x4800
-	b, err := New(sim.NewQuietEnv(), soc.BCM2711(), soc.Options{}, 0x5EED)
+	b, err := New(sim.NewEnv(), soc.BCM2711(), soc.Options{}, 0x5EED)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,8 +209,10 @@ func (m *Manager) evictMemLocked() {
 
 // computeRun simulates one run and marshals its deterministic record.
 // With RunTimeout configured, the experiment runs under a child
-// deadline; blowing it — while the parent context is still live — is
-// reported as ErrRunTimeout, distinct from a caller cancellation.
+// deadline; an error returned after it fires — while the parent context
+// is still live — is reported as ErrRunTimeout, distinct from a caller
+// cancellation. A late run that still returns a result is kept: the
+// record is the same whenever it is computed.
 func (m *Manager) computeRun(ctx context.Context, rs RunSpec, key string) (json.RawMessage, error) {
 	exp, ok := m.reg.Lookup(rs.Experiment)
 	if !ok {

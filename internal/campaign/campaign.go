@@ -258,9 +258,14 @@ type Config struct {
 	// Results themselves outlive the job record in the result cache.
 	JobRetention int
 	// RunTimeout bounds one run's wall-clock simulation time (default
-	// 0: no limit). A run that exceeds it fails with ErrRunTimeout —
-	// failing its job with that distinct reason — and its result is
-	// never cached in any tier.
+	// 0: no limit) by cancelling the context the experiment runs under.
+	// A run that returns an error after its deadline fires fails with
+	// ErrRunTimeout — failing its job with that distinct reason — and
+	// its result is never cached in any tier. A run that ignores its
+	// context and finishes late without error succeeds and is cached
+	// like any other: its record is deterministic and content-addressed,
+	// and rejecting it would only make every resubmission re-simulate
+	// and fail again.
 	RunTimeout time.Duration
 }
 

@@ -590,6 +590,45 @@ func TestRunTimeoutFailsDistinctlyAndIsNotCached(t *testing.T) {
 	}
 }
 
+// TestRunTimeoutLateSuccessIsCached pins the other half of the policy:
+// an experiment that ignores its context and finishes after RunTimeout
+// without error succeeds, and its deterministic record is cached like
+// any other, so a resubmission is a memory hit rather than a rerun.
+func TestRunTimeoutLateSuccessIsCached(t *testing.T) {
+	var runs atomic.Int64
+	reg := registry.New(&registry.Experiment{
+		Name: "late", Doc: "ignores its context and overruns the timeout",
+		ArtifactKinds: []string{"text"},
+		Run: func(context.Context, registry.Request) (*registry.Result, error) {
+			runs.Add(1)
+			time.Sleep(40 * time.Millisecond)
+			return &registry.Result{Text: "late\n"}, nil
+		},
+	})
+	m := New(Config{Registry: reg, Workers: 1, QueueDepth: 8, RunTimeout: 20 * time.Millisecond})
+	defer m.Drain(context.Background())
+
+	spec := Spec{Runs: []RunSpec{{Experiment: "late", Seed: 1}}}
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitState(t, m, st.ID, terminal); final.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
+	}
+	st2, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final2 := waitState(t, m, st2.ID, terminal)
+	if final2.State != StateDone || !final2.Cached || final2.CacheTier != TierMem {
+		t.Fatalf("resubmission: state=%s cached=%v tier=%s, want done mem hit", final2.State, final2.Cached, final2.CacheTier)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("experiment ran %d times, want 1", got)
+	}
+}
+
 // TestRunTimeoutOffByDefault: without RunTimeout the same blocking run
 // is bounded only by its caller.
 func TestRunTimeoutOffByDefault(t *testing.T) {

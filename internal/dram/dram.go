@@ -264,7 +264,6 @@ func (m *Module) PowerOff() {
 	m.gen++
 	m.offSince = m.env.Now()
 	m.offTempK = m.env.TemperatureK()
-	m.env.Logf("dram", "%s power off at %.1f°C", m.name, m.env.TemperatureC()) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 }
 
 // PowerOn restores power, resolving which bytes decayed to ground during
@@ -300,7 +299,6 @@ func (m *Module) PowerOn() {
 		// even the lazy retention fill. The original per-byte loop and the
 		// minLogRet short-circuit both reach this same conclusion, since
 		// every finite lr exceeds −∞.
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	if m.retFilled == len(m.data) && float64(m.minLogRet) > logEl+band {
@@ -308,7 +306,6 @@ func (m *Module) PowerOn() {
 		// leakiest byte outlives the outage: nothing decays, no deferral
 		// needed. (Without a full fill the same conclusion is reached
 		// lazily — see resolveSlow — without forcing the fill here.)
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	// Defer the walk: record the outage's survival thresholds and mark
@@ -335,8 +332,6 @@ func (m *Module) PowerOn() {
 		}
 	}
 	m.unresolved = len(m.data)
-	m.env.Logf("dram", "%s power on after %s outage: decay resolution deferred (%d bytes)",
-		m.name, sim.Time(elapsed), len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 }
 
 // dropPending releases the deferral state once every byte is materialized.
@@ -593,7 +588,6 @@ func (s *Scrambler) Module() *Module { return s.mod }
 func (s *Scrambler) NewBootKey(seed uint64) {
 	st := seed
 	s.key = xrand.SplitMix64(&st)
-	s.mod.env.Logf("dram", "%s: new scrambler session key", s.mod.name)
 }
 
 func (s *Scrambler) keystream(off, n int) []byte {

@@ -11,7 +11,7 @@ import (
 // rng-stream rewind (two outages replayed from the same snapshot must
 // decay identically), and the scalar/outage state restore.
 func TestModuleSnapshotRestore(t *testing.T) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	env.SetTemperatureC(-30)
 	m := NewModule(env, "snaptest", 64*1024, DefaultRetentionModel(), 0x5eed)
 	m.Write(0x1000, bytes.Repeat([]byte{0xA5}, 4096))
@@ -50,7 +50,7 @@ func TestModuleSnapshotRestore(t *testing.T) {
 // TestModuleSnapshotRestoreAfterWrites checks that plain writes after a
 // capture are rewound via the dirty-page path.
 func TestModuleSnapshotRestoreAfterWrites(t *testing.T) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	m := NewModule(env, "snaptest", 64*1024, DefaultRetentionModel(), 0xfeed)
 	m.Write(0, bytes.Repeat([]byte{0x77}, 64*1024))
 

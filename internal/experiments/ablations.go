@@ -51,7 +51,7 @@ func ProbeCurrentSweep(ctx context.Context, seed uint64) (*ProbeSweepResult, err
 		snap  *board.Snapshot
 	}
 	mk := func() (*fork, error) {
-		b, _, err := newTrialBoard(spec, soc.Options{}, seed)
+		b, _, err := newBoard(spec, soc.Options{}, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func RetentionSweep(ctx context.Context, seed uint64, temps []float64, offTimes 
 		t0     sim.Time
 	}
 	mk := func() (*fork, error) {
-		env := sim.NewQuietEnv()
+		env := sim.NewEnv()
 		arr := sram.NewArray(env, "sweep", 64*1024*8, sram.DefaultRetentionModel(), seed)
 		arr.SetRail(0.8)
 		arr.Fill(0xA5)

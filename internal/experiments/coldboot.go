@@ -74,7 +74,7 @@ func Table1(ctx context.Context, seed uint64) (*Table1Result, error) {
 		snap  *board.Snapshot
 	}
 	mk := func() (*fork, error) {
-		b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+		b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 		if err != nil {
 			return nil, err
 		}

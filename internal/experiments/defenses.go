@@ -38,7 +38,7 @@ type CountermeasuresResult struct {
 // the TrustZone secure world (the CaSE deployment model).
 func runDefendedAttack(seed uint64, opts soc.Options, secureVictim bool, orderlyShutdown bool) (*DefenseOutcome, error) {
 	spec := soc.BCM2711()
-	b, _, err := newTrialBoard(spec, opts, seed)
+	b, _, err := newBoard(spec, opts, seed)
 	if err != nil {
 		return nil, err
 	}

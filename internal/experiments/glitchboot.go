@@ -84,7 +84,7 @@ func buildGlitchROM() ([]uint32, *glitch.BootROM, error) {
 }
 
 func newGlitchRig(seed uint64) (*glitchRig, error) {
-	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}

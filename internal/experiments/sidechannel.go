@@ -51,7 +51,7 @@ func buildSCAVictim() (*trace.AESVictim, error) {
 }
 
 func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
-	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func Figure7(ctx context.Context, seed uint64) ([]*Figure7Result, error) {
 	specs := []soc.DeviceSpec{soc.BCM2711(), soc.BCM2837()}
 	return runner.Map(ctx, len(specs), runtime.GOMAXPROCS(0), func(si int) (*Figure7Result, error) {
 		spec := specs[si]
-		b, _, err := newTrialBoard(spec, soc.Options{}, seed)
+		b, _, err := newBoard(spec, soc.Options{}, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +275,7 @@ func Table4(ctx context.Context, seed uint64) (*Table4Result, error) {
 		rep := idx % res.Reps
 		n := sizeKB * 1024 / 8
 		repSeed := seed + uint64(sizeKB)*1000 + uint64(rep)
-		b, _, err := newTrialBoard(spec, soc.Options{}, repSeed)
+		b, _, err := newBoard(spec, soc.Options{}, repSeed)
 		if err != nil {
 			return tally{}, err
 		}

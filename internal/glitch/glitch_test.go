@@ -39,8 +39,8 @@ func newBench(t testing.TB, seed uint64, tampered bool) *bench {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power.NewBenchSupply(env, "test-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "test-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
+	power.NewBenchSupply("test-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
+	power.NewBenchSupply("test-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
 
 	image, err := glitch.BuildDemoImage(testImageBase, testProofAddr)
 	if err != nil {

@@ -52,7 +52,7 @@ func (k RegulatorKind) String() string {
 type Load interface {
 	// SetRail informs the load of its new supply voltage.
 	SetRail(volts float64)
-	// Name identifies the load for logs.
+	// Name identifies the load in the Figure 4 topology rendering.
 	Name() string
 }
 
@@ -140,7 +140,8 @@ type Source interface {
 	// OfferedVolts is the voltage the source currently drives, or 0 if
 	// off/disconnected.
 	OfferedVolts() float64
-	// SourceName identifies the source for logs.
+	// SourceName identifies the source in the Figure 4 topology
+	// rendering.
 	SourceName() string
 	// CurrentLimitAmps is the maximum current the source can deliver
 	// while holding its voltage.
@@ -174,9 +175,6 @@ func (d *Domain) Reresolve() {
 			best = v
 		}
 	}
-	if best != d.volts {
-		d.env.Logf("power", "domain %s rail %.2fV -> %.2fV", d.name, d.volts, best) //voltvet:ignore VV-HOT004 diagnostic logging on a rail transition, not the per-instruction steady state; campaigns attach no log
-	}
 	d.setVolts(best)
 }
 
@@ -192,7 +190,6 @@ func (d *Domain) setVolts(v float64) {
 // Loads see both edges, so SRAM decay bookkeeping covers exactly the sag
 // window. Droop advances the simulation clock by the duration.
 func (d *Domain) Droop(sagVolts float64, duration sim.Time) {
-	d.env.Logf("power", "domain %s droops to %.2fV for %s", d.name, sagVolts, duration)
 	d.setVolts(sagVolts)
 	d.env.Advance(duration)
 	d.Reresolve()
@@ -207,7 +204,6 @@ func (d *Domain) PulseDown(sagVolts float64) {
 	if sagVolts < 0 {
 		sagVolts = 0
 	}
-	d.env.Logf("power", "domain %s glitch pulse to %.2fV", d.name, sagVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a rail transition, not the per-instruction steady state; campaigns attach no log
 	d.setVolts(sagVolts)
 }
 
@@ -259,9 +255,7 @@ func (r *Regulator) SetEnabled(on bool) {
 // PMIC is the external power-management IC: a set of regulator channels
 // fed from one input supply (battery or USB).
 type PMIC struct {
-	name string
-	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
-	env          *sim.Env
+	name         string
 	inputPresent bool
 	//voltvet:nosnap restored element-wise through the channel pointers; the slice itself is wiring
 	channels []*Regulator
@@ -270,8 +264,8 @@ type PMIC struct {
 }
 
 // NewPMIC creates a PMIC with no channels; input power starts absent.
-func NewPMIC(env *sim.Env, name string) *PMIC {
-	return &PMIC{name: name, env: env, domains: map[*Regulator]*Domain{}}
+func NewPMIC(name string) *PMIC {
+	return &PMIC{name: name, domains: map[*Regulator]*Domain{}}
 }
 
 // Name returns the PMIC part name.
@@ -305,7 +299,6 @@ func (p *PMIC) InputPresent() bool { return p.inputPresent }
 // affect any of the paper's results, so channels come up together.
 func (p *PMIC) ConnectInput() {
 	p.inputPresent = true
-	p.env.Logf("pmic", "%s input connected; regulators up", p.name)
 	p.reresolveAll()
 }
 
@@ -316,7 +309,6 @@ func (p *PMIC) ConnectInput() {
 // the rail droops below the retention band for the surge duration.
 func (p *PMIC) DisconnectInput(surge Surge) {
 	p.inputPresent = false
-	p.env.Logf("pmic", "%s input disconnected", p.name)
 	seen := map[*Domain]bool{}
 	for _, r := range p.channels {
 		d := p.domains[r]
@@ -333,9 +325,6 @@ func (p *PMIC) DisconnectInput(surge Surge) {
 		limit := strongestLimit(d)
 		if limit < surge.Amps {
 			d.Droop(surge.SagTo(d.Volts(), limit), surge.Duration)
-		} else {
-			p.env.Logf("power", "domain %s held through %0.1fA surge (source limit %.1fA)",
-				d.Name(), surge.Amps, limit)
 		}
 	}
 }
@@ -398,7 +387,6 @@ func DefaultSurge() Surge {
 // capability. The paper's working setup is >3 A; the ablation sweeps this.
 type BenchSupply struct {
 	name     string
-	env      *sim.Env
 	volts    float64
 	maxAmps  float64
 	attached bool
@@ -407,8 +395,8 @@ type BenchSupply struct {
 
 // NewBenchSupply creates a probe set to the given voltage and current
 // limit. It starts unattached.
-func NewBenchSupply(env *sim.Env, name string, volts, maxAmps float64) *BenchSupply {
-	return &BenchSupply{name: name, env: env, volts: volts, maxAmps: maxAmps}
+func NewBenchSupply(name string, volts, maxAmps float64) *BenchSupply {
+	return &BenchSupply{name: name, volts: volts, maxAmps: maxAmps}
 }
 
 // OfferedVolts implements Source.
@@ -444,7 +432,6 @@ func (b *BenchSupply) AttachTo(d *Domain) {
 	b.attached = true
 	b.domain = d
 	d.AddSource(b)
-	b.env.Logf("probe", "%s attached to %s at %.2fV (limit %.1fA)", b.name, d.Name(), b.volts, b.maxAmps)
 }
 
 // Detach removes the probe from its domain.
@@ -456,7 +443,6 @@ func (b *BenchSupply) Detach() {
 	d := b.domain
 	b.domain = nil
 	d.RemoveSource(b)
-	b.env.Logf("probe", "%s detached from %s", b.name, d.Name())
 }
 
 // Attached reports whether the probe is currently connected.

@@ -21,7 +21,7 @@ func (r *railRecorder) SetRail(v float64) {
 func (r *railRecorder) Name() string { return r.name }
 
 func newRig(env *sim.Env) (*PMIC, *Domain, *Domain, *railRecorder, *railRecorder) {
-	pmic := NewPMIC(env, "TESTPMIC")
+	pmic := NewPMIC("TESTPMIC")
 	core := NewDomain(env, "VDD_CORE", 0.8, true)
 	mem := NewDomain(env, "VDD_MEM", 1.1, false)
 	pmic.AddChannel("BUCK1", Buck, 4, core)
@@ -62,7 +62,7 @@ func TestProbeHoldsDomainThroughDisconnect(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, mem, coreLoad, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
 	pmic.DisconnectInput(DefaultSurge())
 	if core.Volts() != 0.8 {
@@ -83,7 +83,7 @@ func TestWeakProbeDroopsDuringSurge(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, coreLoad, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "weak", 0.8, 0.5) // below the 2.5A surge
+	probe := NewBenchSupply("weak", 0.8, 0.5) // below the 2.5A surge
 	probe.AttachTo(core)
 	before := env.Now()
 	pmic.DisconnectInput(DefaultSurge())
@@ -114,7 +114,7 @@ func TestSurgeOnlyAffectsCoreDomains(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, _, mem, _, memLoad := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "weak", 1.1, 0.1) // tiny, but memory domain: no surge
+	probe := NewBenchSupply("weak", 1.1, 0.1) // tiny, but memory domain: no surge
 	probe.AttachTo(mem)
 	pmic.DisconnectInput(DefaultSurge())
 	if mem.Volts() != 1.1 {
@@ -131,7 +131,7 @@ func TestProbeDetachDropsRail(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
 	pmic.DisconnectInput(DefaultSurge())
 	probe.Detach()
@@ -146,7 +146,7 @@ func TestProbeDetachDropsRail(t *testing.T) {
 func TestDoubleAttachPanics(t *testing.T) {
 	env := sim.NewEnv()
 	_, core, mem, _, _ := newRig(env)
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
 	defer func() {
 		if recover() == nil {
@@ -187,7 +187,7 @@ func TestDomainResolvesMaxOfSources(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	low := NewBenchSupply(env, "lowprobe", 0.5, 3)
+	low := NewBenchSupply("lowprobe", 0.5, 3)
 	low.AttachTo(core)
 	if core.Volts() != 0.8 {
 		t.Fatalf("regulator at 0.8 should win over 0.5 probe, got %v", core.Volts())
@@ -248,7 +248,7 @@ func TestProbeCurrentDrawTelemetry(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	if probe.CurrentDrawAmps() != 0 {
 		t.Fatal("detached probe should draw nothing")
 	}
@@ -277,5 +277,33 @@ func TestDomainDrawDefaults(t *testing.T) {
 	}
 	if mem.ActiveDrawAmps >= core.ActiveDrawAmps {
 		t.Fatal("memory domain should draw less than the core domain")
+	}
+}
+
+// voltsOnly is a Load that keeps the last rail voltage and nothing else,
+// so it cannot allocate.
+type voltsOnly struct{ volts float64 }
+
+func (v *voltsOnly) SetRail(volts float64) { v.volts = volts }
+func (v *voltsOnly) Name() string          { return "volts-only" }
+
+// TestGlitchPulseZeroAlloc pins the glitch pulse — the pair a fault
+// campaign replays once per trial — to zero heap allocations: opening
+// and closing a pulse on a probe-fed domain is pure rail bookkeeping.
+func TestGlitchPulseZeroAlloc(t *testing.T) {
+	env := sim.NewEnv()
+	core := NewDomain(env, "VDD_CORE", 0.8, true)
+	load := &voltsOnly{}
+	core.Attach(load)
+	NewBenchSupply("bench", 0.8, 3.5).AttachTo(core)
+	allocs := testing.AllocsPerRun(100, func() {
+		core.PulseDown(0.37)
+		core.PulseEnd(10 * sim.Nanosecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("glitch pulse allocates %v times per pulse, want 0", allocs)
+	}
+	if load.volts != 0.8 {
+		t.Fatalf("rail after pulse = %vV, want 0.8V", load.volts)
 	}
 }

@@ -1,6 +1,6 @@
-// Package sim provides the simulation clock, the physical environment
-// (ambient temperature), and a structured event log shared by every
-// subsystem of the Volt Boot reproduction.
+// Package sim provides the simulation clock and the physical environment
+// (ambient temperature) shared by every subsystem of the Volt Boot
+// reproduction.
 //
 // Time is discrete and measured in nanoseconds from the start of a
 // scenario. Subsystems never tick continuously; instead they record the
@@ -10,11 +10,7 @@
 // O(cells + events) instead of O(cells × nanoseconds).
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Time is a simulation timestamp in nanoseconds.
 type Time int64
@@ -57,23 +53,18 @@ type Env struct {
 	now Time
 	// tempC is the ambient temperature in degrees Celsius.
 	tempC float64
-	log   *EventLog
 }
 
-// NewEnv returns an environment at time zero and room temperature (25°C)
-// with an empty event log.
+// NewEnv returns an environment at time zero and room temperature (25°C).
 func NewEnv() *Env {
-	return &Env{tempC: 25, log: NewEventLog()}
-}
-
-// NewQuietEnv returns an environment with no log sink attached: every
-// Logf call is a cheap nil check, with no formatting and no event
-// allocation. The parallel experiment runner uses quiet environments for
-// its trial boards — the per-excursion decay logs of a megabyte-scale
-// array are pure overhead when nobody reads them.
-func NewQuietEnv() *Env {
 	return &Env{tempC: 25}
 }
+
+// NewQuietEnv returns NewEnv().
+//
+// Deprecated: environments no longer carry an event log, so every
+// environment is quiet; use NewEnv.
+func NewQuietEnv() *Env { return NewEnv() }
 
 // Now returns the current simulation time.
 func (e *Env) Now() Time { return e.now }
@@ -91,8 +82,7 @@ func (e *Env) Advance(d Time) {
 // bypassing Advance's forward-only invariant. It exists solely for
 // snapshot restores (see soc.Snapshot): a restored trial re-lives the
 // interval after the fork, so the clock legitimately runs backwards to
-// the capture instant. The change is deliberately unlogged — restores
-// happen on quiet trial environments and must not perturb event streams.
+// the capture instant.
 func (e *Env) Rewind(now Time, tempC float64) {
 	e.now = now
 	e.tempC = tempC
@@ -104,105 +94,8 @@ func (e *Env) TemperatureC() float64 { return e.tempC }
 // TemperatureK returns the ambient temperature in Kelvin.
 func (e *Env) TemperatureK() float64 { return CelsiusToKelvin(e.tempC) }
 
-// SetTemperatureC sets the ambient temperature. The change is logged; the
-// environment models an idealized chamber where the die instantly reaches
-// the set point (the paper statically soaks boards for an hour, which this
-// idealization stands in for).
-func (e *Env) SetTemperatureC(c float64) {
-	e.tempC = c
-	e.Logf("env", "temperature set to %.1f°C", c)
-}
-
-// Log returns the environment's event log, or nil for a quiet
-// environment.
-func (e *Env) Log() *EventLog { return e.log }
-
-// LogEnabled reports whether a log sink is attached. Callers assembling
-// expensive log arguments (joins, renders) should gate on it; plain
-// Logf calls are already free when disabled.
-func (e *Env) LogEnabled() bool { return e.log != nil }
-
-// SetLog attaches (or, with nil, detaches) the event log sink.
-func (e *Env) SetLog(l *EventLog) { e.log = l }
-
-// Logf records a formatted event attributed to a subsystem. When no sink
-// is attached the call returns before any formatting or event allocation
-// happens; callers assembling expensive arguments should additionally
-// gate on LogEnabled.
-func (e *Env) Logf(subsystem, format string, args ...any) {
-	if e.log == nil {
-		return
-	}
-	e.log.Add(e.now, subsystem, fmt.Sprintf(format, args...)) //voltvet:ignore VV-HOT001 log formatting sits behind the nil-log fast path; campaigns attach no log
-}
-
-// Event is one timestamped entry in the scenario log.
-type Event struct {
-	At        Time
-	Subsystem string
-	Message   string
-}
-
-func (ev Event) String() string {
-	return fmt.Sprintf("%12s  %-10s %s", ev.At, ev.Subsystem, ev.Message)
-}
-
-// EventLog is an append-only list of events, used both for debugging and to
-// render the "attack execution steps" figure.
-type EventLog struct {
-	events []Event
-}
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
-
-// Add appends an event.
-func (l *EventLog) Add(at Time, subsystem, message string) {
-	l.events = append(l.events, Event{At: at, Subsystem: subsystem, Message: message})
-}
-
-// Events returns a copy of all events in insertion order.
-func (l *EventLog) Events() []Event {
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Len reports the number of recorded events.
-func (l *EventLog) Len() int { return len(l.events) }
-
-// Subsystems returns the sorted set of subsystems that logged at least one
-// event.
-func (l *EventLog) Subsystems() []string {
-	set := map[string]bool{}
-	for _, ev := range l.events {
-		set[ev.Subsystem] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Filter returns the events attributed to the given subsystem.
-func (l *EventLog) Filter(subsystem string) []Event {
-	var out []Event
-	for _, ev := range l.events {
-		if ev.Subsystem == subsystem {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// String renders the whole log, one event per line.
-func (l *EventLog) String() string {
-	var b strings.Builder
-	for _, ev := range l.events {
-		b.WriteString(ev.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// SetTemperatureC sets the ambient temperature. The environment models
+// an idealized chamber where the die instantly reaches the set point (the
+// paper statically soaks boards for an hour, which this idealization
+// stands in for).
+func (e *Env) SetTemperatureC(c float64) { e.tempC = c }

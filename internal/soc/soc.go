@@ -381,13 +381,11 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 	s.bootCount++
 	s.mutGen++ // boots rewrite code memory in several ways; drop all predecode
-	s.Env.Logf("boot", "%s boot #%d", s.Spec.SoCName, s.bootCount)
 
 	if s.Opts.PowerToggleReset {
 		// The SoC gates each SRAM macro's internal supply off and on
 		// again during reset. An external probe holds the *pin*, but the
 		// gate sits behind it, so contents are lost regardless.
-		s.Env.Logf("boot", "power-toggle reset of all on-chip SRAM")
 		for _, a := range s.arrays {
 			restore := a.RailVolts()
 			a.SetRail(0)
@@ -396,7 +394,6 @@ func (s *SoC) Boot(img *BootImage) error {
 		}
 	}
 	if s.Opts.MBISTReset {
-		s.Env.Logf("boot", "MBIST zeroization of all on-chip SRAM")
 		for _, a := range s.arrays {
 			if a.Powered() {
 				a.Fill(0)
@@ -405,14 +402,12 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 
 	if img != nil && s.Opts.AuthenticatedBoot && img.Signature != s.SignImage(img) {
-		s.Env.Logf("boot", "authenticated boot REJECTED unsigned image")
 		return ErrUnsignedImage
 	}
 	// Secure-world entry always requires the OEM signature when TrustZone
 	// is enforced, independent of the full authenticated-boot policy.
 	secureWorld := img != nil && img.TrustedWorld
 	if secureWorld && s.Opts.TrustZone && img.Signature != s.SignImage(img) {
-		s.Env.Logf("boot", "secure-world entry REJECTED: unsigned image")
 		return ErrUnsignedImage
 	}
 
@@ -430,7 +425,6 @@ func (s *SoC) Boot(img *BootImage) error {
 		}
 		s.L2.InvalidateAll()
 		s.L2.SetEnabled(true)
-		s.Env.Logf("boot", "VideoCore init clobbered L2 (%d KB)", s.Spec.L2.SizeBytes/1024)
 	}
 
 	// Internal boot ROM scratchpad (i.MX53): parts of the iRAM are
@@ -442,15 +436,11 @@ func (s *SoC) Boot(img *BootImage) error {
 			scratch.Bytes(buf)
 			s.IRAM.WriteBytes(r.Start, buf)
 		}
-		if len(s.Spec.BootROMClobbers) > 0 {
-			s.Env.Logf("boot", "boot ROM scratchpad clobbered %d iRAM ranges", len(s.Spec.BootROMClobbers))
-		}
 	}
 
 	// TCG reset mitigation: wipe DRAM unless the previous power-down was
 	// orderly. Abrupt disconnects and forced warm reboots both trip it.
 	if s.Opts.TCGReset && !s.orderlyDown && s.DRAM.Powered() {
-		s.Env.Logf("boot", "TCG reset mitigation: wiping %d MB DRAM", s.Spec.DRAMBytes/(1<<20))
 		s.DRAM.Write(0, make([]byte, s.Spec.DRAMBytes))
 		if s.L2 != nil {
 			// The wipe goes through the memory system; stale L2 lines
@@ -501,7 +491,6 @@ func (s *SoC) Boot(img *BootImage) error {
 			core.L1I.SetEnabled(false)
 		}
 	}
-	s.Env.Logf("boot", "payload loaded at %#x entry %#x caches=%v", load, entry, img.EnableCaches)
 	return nil
 }
 
@@ -577,7 +566,6 @@ func (s *SoC) RunAllCores(maxInstr uint64) error {
 // precisely the path that skips this (§8 "purging residual memory").
 func (s *SoC) OrderlyShutdown() {
 	s.mutGen++ // the purge overwrites SRAM-resident code
-	s.Env.Logf("soc", "orderly shutdown: purging on-chip memories")
 	for _, c := range s.Cores {
 		for _, arr := range c.L1D.Arrays() {
 			if arr.Powered() {
@@ -952,7 +940,6 @@ func (s *SoC) RAMIndexRead(core int, req uint64, el int) (uint64, bool) {
 		return v, false
 	}
 	if s.Opts.TrustZone && target.SecureLineAt(way, word) && !c.CPU.Secure() {
-		s.Env.Logf("tz", "RAMINDEX to secure line denied (core %d, way %d, word %d)", core, way, word) //voltvet:ignore VV-HOT004 diagnostic logging on a TrustZone denial, not the steady state; campaigns attach no log
 		return 0, true
 	}
 	v, err := target.RAMIndexData(way, word)

@@ -21,8 +21,8 @@ func poweredSoC(t testing.TB, spec DeviceSpec, opts Options) (*SoC, *sim.Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePSU := power.NewBenchSupply(env, "test-core", spec.CoreVolts, 10)
-	memPSU := power.NewBenchSupply(env, "test-mem", spec.MemVolts, 10)
+	corePSU := power.NewBenchSupply("test-core", spec.CoreVolts, 10)
+	memPSU := power.NewBenchSupply("test-mem", spec.MemVolts, 10)
 	corePSU.AttachTo(s.CoreDom)
 	memPSU.AttachTo(s.MemDom)
 	return s, env
@@ -423,8 +423,8 @@ func TestDomainSeparatedRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePSU := power.NewBenchSupply(env, "core", s.Spec.CoreVolts, 10)
-	memPSU := power.NewBenchSupply(env, "mem", s.Spec.MemVolts, 10)
+	corePSU := power.NewBenchSupply("core", s.Spec.CoreVolts, 10)
+	memPSU := power.NewBenchSupply("mem", s.Spec.MemVolts, 10)
 	corePSU.AttachTo(s.CoreDom)
 	memPSU.AttachTo(s.MemDom)
 

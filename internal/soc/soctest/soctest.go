@@ -39,8 +39,8 @@ func Stepping(tb testing.TB, attach func(*soc.SoC)) *soc.SoC {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	power.NewBenchSupply(env, "bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
+	power.NewBenchSupply("bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
+	power.NewBenchSupply("bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
 	words, err := isa.Assemble(soc.PayloadBase, loop)
 	if err != nil {
 		tb.Fatal(err)

@@ -91,7 +91,6 @@ func (a *Array) Age(years float64, model ImprintModel) {
 		}
 		st.imprinted[w], st.value[w] = imprinted, value
 	}
-	a.env.Logf("sram", "%s: aged %.1f years (imprint onset p=%.2f)", a.name, years, p)
 }
 
 // ImprintedFraction reports the fraction of cells currently imprinted,

@@ -24,9 +24,7 @@ package sram
 
 import (
 	"math"
-	"math/bits"
 
-	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -333,7 +331,6 @@ func (a *Array) resolveDecayWords() {
 	// draws), so skipping them cannot shift any stream.
 	checkDRV := !intGates || drvSumMax >= 0
 	checkRet := !intGates || retSumMin <= maxFieldSum
-	lost := 0
 	ig := uint64(0) // i·gamma, maintained incrementally
 	if intGates && !checkDRV && !checkRet && mode == 2 && !hasAging && a.n&63 == 0 {
 		// Full-decay fast path: both survival gates are degenerate — the
@@ -346,9 +343,6 @@ func (a *Array) resolveDecayWords() {
 		for w := range a.bits {
 			a.bits[w] = mode2Batch64(rng, biased[w], pref[w], thrInt)
 		}
-		lost = a.n
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	for w := range a.bits {
@@ -415,12 +409,7 @@ func (a *Array) resolveDecayWords() {
 		}
 		if decayMask != 0 {
 			a.bits[w] = (a.bits[w] &^ decayMask) | newBits
-			lost += bits.OnesCount64(decayMask)
 		}
-	}
-	if lost > 0 {
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 	}
 }
 
@@ -449,7 +438,6 @@ func (a *Array) powerUpAllWords() {
 		for w := range a.bits {
 			a.bits[w] = mode2Batch64(rng, biased[w], pref[w], thrInt)
 		}
-		a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	for w := range a.bits {
@@ -493,7 +481,6 @@ func (a *Array) powerUpAllWords() {
 			a.bits[w] = (a.bits[w] &^ mask) | newBits
 		}
 	}
-	a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +491,6 @@ func (a *Array) powerUpAllWords() {
 func (a *Array) resolveDecayScalar() {
 	elapsed := float64(a.env.Now() - a.belowSince)
 	logThreshold := a.logDecayThreshold(elapsed)
-	lost := 0
 	for i := 0; i < a.n; i++ {
 		drv, logRet, biased, preferred := a.cellStatics(i)
 		if a.heldVolts >= drv {
@@ -514,11 +500,6 @@ func (a *Array) resolveDecayScalar() {
 			continue // charge survived the gap
 		}
 		a.powerUpCellWith(i, biased, preferred)
-		lost++
-	}
-	if lost > 0 {
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 	}
 }
 
@@ -528,7 +509,6 @@ func (a *Array) powerUpAllScalar() {
 		_, _, biased, preferred := a.cellStatics(i)
 		a.powerUpCellWith(i, biased, preferred)
 	}
-	a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 }
 
 // powerUpCellWith samples the power-up value for cell i from its bias,

@@ -15,7 +15,7 @@ const snapTestBits = 1563 * 64
 
 func newSnapTestArray(t *testing.T, seed uint64) (*sim.Env, *Array) {
 	t.Helper()
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	arr := NewArray(env, "snaptest", snapTestBits, DefaultRetentionModel(), seed)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
@@ -107,7 +107,7 @@ func TestSnapshotRestoreNonOwner(t *testing.T) {
 // point of the copy-on-write design is that this costs O(dirty pages),
 // not O(array) — compare BenchmarkSnapshotRestoreFull.
 func BenchmarkSnapshotRestoreDirty(b *testing.B) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	arr := NewArray(env, "bench", 1024*1024*8, DefaultRetentionModel(), 1)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
@@ -124,7 +124,7 @@ func BenchmarkSnapshotRestoreDirty(b *testing.B) {
 // (every page dirty), the cost a fresh-boot-per-trial sweep would pay
 // in memory traffic alone.
 func BenchmarkSnapshotRestoreFull(b *testing.B) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	arr := NewArray(env, "bench", 1024*1024*8, DefaultRetentionModel(), 1)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
@@ -152,7 +152,7 @@ func TestSnapshotClearsLateImprint(t *testing.T) {
 	arr.SetRail(0.8)
 	got := arr.Snapshot()
 
-	tenv := sim.NewQuietEnv()
+	tenv := sim.NewEnv()
 	twin := NewArray(tenv, "snaptest", snapTestBits, DefaultRetentionModel(), 0x1234)
 	twin.SetRail(0.8)
 	twin.Fill(0xA5)

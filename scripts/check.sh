@@ -73,5 +73,6 @@ go test -run 'StepGlitchDisarmedZeroAlloc' -count=1 ./internal/glitch/
 go test -run 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' -count=1 ./internal/trace/
 go test -run 'AccessHitPathAllocFree|LineTransferAllocFree' -count=1 ./internal/cache/
 go test -run 'TestRestoreSnapshotZeroAlloc' -count=1 ./internal/board/
+go test -run 'TestGlitchPulseZeroAlloc' -count=1 ./internal/power/
 
 echo "OK"
