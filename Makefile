@@ -1,6 +1,5 @@
-# Development entry points. `make check` is the full gate that CI (and
-# scripts/check.sh) runs; the individual targets exist for fast local
-# iteration.
+# Development entry points. `make check` runs scripts/check.sh, the one
+# full CI gate; the individual targets exist for fast local iteration.
 
 GO ?= go
 
@@ -41,4 +40,5 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-check: vet lint build race bench-smoke
+check:
+	sh scripts/check.sh

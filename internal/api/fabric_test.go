@@ -366,6 +366,24 @@ func TestFabricFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFabricRunRejectsOversizeBody pins that a forwarded shard whose body
+// exceeds the decode bound is refused with 413 in the JSON error shape
+// and never executes.
+func TestFabricRunRejectsOversizeBody(t *testing.T) {
+	fleet := startFleet(t, 2, nil)
+	resp, b := post(t, fleet[0].ts.URL+"/v1/fabric/run", oversizeBody(`{"experiment":"`))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize forward → %d, want 413 (%.200s)", resp.StatusCode, b)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
+		t.Fatalf("oversize forward body %.80q is not the JSON error shape", b)
+	}
+	if got := fleet[0].sims.Load(); got != 0 {
+		t.Fatalf("oversize forward ran %d simulations, want 0", got)
+	}
+}
+
 // BenchmarkFabricSweepCached measures the fabric's serving overhead: a
 // 3-node fleet answering a fully warm 6-run sweep over HTTP, every
 // shard forwarded to its owner and served from that peer's memory tier.

@@ -92,6 +92,29 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds every request body the service decodes. A sweep
+// naming the whole catalog with params is a few KiB, so 1 MiB is ample
+// while capping what an untrusted client can make a node buffer.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields. A
+// malformed body is answered 400 and one over maxBodyBytes 413, both in
+// the JSON error shape; decodeBody reports whether v was filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad %s body: %w", what, err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
@@ -140,10 +163,7 @@ type submitRun struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	defaultSeed := DefaultSeed
@@ -374,10 +394,7 @@ func (s *Server) handleFabricRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fabric.ForwardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad forward body: %w", err))
+	if !decodeBody(w, r, "forward", &req) {
 		return
 	}
 	rec, tier, err := s.node.ServeForwarded(r.Context(), req)

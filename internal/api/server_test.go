@@ -74,6 +74,12 @@ func post(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
+// oversizeBody opens a JSON string with prefix and pads it past the
+// server's body bound, so the only thing wrong with it is its size.
+func oversizeBody(prefix string) string {
+	return prefix + strings.Repeat("a", maxBodyBytes) + `"}`
+}
+
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -456,18 +462,26 @@ func TestWaitDisconnectCancels(t *testing.T) {
 // TestBadRequests: malformed bodies and unknown names are 4xx.
 func TestBadRequests(t *testing.T) {
 	ts, _, _ := newTestServer(t, 1, 8)
-	for _, body := range []string{
-		``,
-		`{}`,
-		`{"runs":[{"experiment":"nonesuch"}]}`,
-		`{"runs":[{"experiment":"echo","params":{"tag":"z"}}]}`,
-		`{"runs":[{"experiment":"echo"}],"match":"echo"}`,
-		`{"match":"zzz"}`,
-		`{"bogus":1}`,
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{``, http.StatusBadRequest},
+		{`{}`, http.StatusBadRequest},
+		{`{"runs":[{"experiment":"nonesuch"}]}`, http.StatusBadRequest},
+		{`{"runs":[{"experiment":"echo","params":{"tag":"z"}}]}`, http.StatusBadRequest},
+		{`{"runs":[{"experiment":"echo"}],"match":"echo"}`, http.StatusBadRequest},
+		{`{"match":"zzz"}`, http.StatusBadRequest},
+		{`{"bogus":1}`, http.StatusBadRequest},
+		{oversizeBody(`{"match":"`), http.StatusRequestEntityTooLarge},
 	} {
-		resp, _ := post(t, ts.URL+"/v1/jobs", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q → %d, want 400", body, resp.StatusCode)
+		resp, b := post(t, ts.URL+"/v1/jobs", tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %.40q → %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
+			t.Errorf("POST %.40q: body %.80q is not the JSON error shape", tc.body, b)
 		}
 	}
 	if resp, _ := get(t, ts.URL+"/v1/jobs/job-999"); resp.StatusCode != http.StatusNotFound {

@@ -23,6 +23,7 @@ package cache
 import (
 	"fmt"
 
+	"repro/internal/dirty"
 	"repro/internal/sim"
 	"repro/internal/sram"
 )
@@ -155,11 +156,11 @@ type Cache struct {
 	// is irrelevant to the attack, so it lives in plain memory.
 	lastUse [][]uint64
 	useTick uint64
-	// lruDirty has one bit per set, raised by every touch since lruOwner
-	// was captured or last restored: RestoreAux of the owner rewinds only
-	// those sets' timestamps (see snapshot.go). Derived state, not
-	// physics.
-	lruDirty []uint64
+	// lruDirty holds one page per set, marked by every touch since
+	// lruOwner was captured or last restored: RestoreAux of the owner
+	// rewinds only those sets' timestamps (see snapshot.go). Derived
+	// state, not physics.
+	lruDirty dirty.Table
 	lruOwner *AuxSnapshot
 
 	// scratch is a reusable LineBytes buffer for fills, writebacks and
@@ -219,7 +220,6 @@ func New(env *sim.Env, cfg Config, model sram.RetentionModel, seed uint64, backi
 		dataRAM:    make([]*sram.Array, cfg.Ways),
 		lockedWays: make([]bool, cfg.Ways),
 		lastUse:    make([][]uint64, cfg.Ways),
-		lruDirty:   make([]uint64, (sets+63)/64),
 		scratch:    make([]byte, cfg.LineBytes),
 		memoWay:    -1,
 	}
@@ -331,7 +331,7 @@ func (c *Cache) victim(set int) (int, error) {
 func (c *Cache) touch(way, set int) {
 	c.useTick++
 	c.lastUse[way][set] = c.useTick
-	c.lruDirty[set>>6] |= 1 << (uint(set) & 63)
+	c.lruDirty.Mark(set, set)
 }
 
 // TouchFetchHit replays the microarchitectural side effects of a hit at
@@ -541,33 +541,29 @@ func (c *Cache) bypass(addr uint64, size int, write bool, wdata uint64) (uint64,
 	return v, nil
 }
 
-// ReadLine implements Backing, letting this cache serve as the next level
-// for an inner cache (L1 → L2). When the inner line matches this cache's
-// own geometry — the common case; every modelled device uses 64-byte
-// lines at every level — the transfer happens at line granularity: one
-// lookup, one fill or hit, one LRU touch, one bulk data-RAM copy, instead
-// of eight recursive 8-byte Accesses. The architectural outcome is
-// identical: the same line is resident afterwards with the same content,
-// and collapsing eight consecutive LRU touches of one (way, set) into one
-// preserves the relative recency order that victim selection depends on.
-func (c *Cache) ReadLine(addr uint64, buf []byte) error {
-	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
-		return c.readLineFast(addr, buf)
-	}
-	// Inner line size or alignment differs; fall back to the word loop.
-	for i := 0; i < len(buf); i += 8 {
-		v, err := c.Access(addr+uint64(i), 8, false, 0, false)
-		if err != nil {
-			return err
-		}
-		for k := 0; k < 8 && i+k < len(buf); k++ {
-			buf[i+k] = byte(v >> (8 * k))
-		}
+// checkLine rejects a line transfer that is not exactly one aligned
+// line of this cache.
+func (c *Cache) checkLine(addr uint64, buf []byte) error {
+	if len(buf) != c.cfg.LineBytes || addr&uint64(c.cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %s: %d-byte line transfer at %#x, want one aligned %d-byte line",
+			c.cfg.Name, len(buf), addr, c.cfg.LineBytes)
 	}
 	return nil
 }
 
-func (c *Cache) readLineFast(addr uint64, buf []byte) error {
+// ReadLine implements Backing, letting this cache serve as the next level
+// for an inner cache (L1 → L2). The transfer happens at line granularity:
+// one lookup, one fill or hit, one LRU touch, one bulk data-RAM copy. The
+// architectural outcome is that of eight 8-byte Accesses — the same line
+// resident afterwards with the same content — because collapsing eight
+// consecutive LRU touches of one (way, set) into one preserves the
+// relative recency order victim selection depends on. Every modelled
+// device uses one line size at every level, so a transfer that is not
+// exactly one aligned line of this cache is a wiring error.
+func (c *Cache) ReadLine(addr uint64, buf []byte) error {
+	if err := c.checkLine(addr, buf); err != nil {
+		return err
+	}
 	if !c.enabled {
 		c.stats.Bypasses++
 		return c.backing.ReadLine(addr, buf) //voltvet:ignore VV-HOT006 deliberate backing seam: the next level is an L2 cache or DRAM, decided at wiring time; the dynamic zero-alloc gate covers both
@@ -591,30 +587,17 @@ func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 	return nil
 }
 
-// WriteLine implements Backing. Like ReadLine, a geometry-matched full
-// line goes through a single allocate-and-overwrite instead of eight
-// read-modify-write Accesses; the fill-on-write-miss is kept so the
-// victim choice and writeback sequence match the word loop exactly.
+// WriteLine implements Backing. Like ReadLine, a full line goes through a
+// single allocate-and-overwrite instead of eight read-modify-write
+// Accesses; the fill-on-write-miss is kept so the victim choice and
+// writeback sequence match the word-at-a-time path exactly.
 func (c *Cache) WriteLine(addr uint64, buf []byte) error {
-	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
-		return c.writeLineFast(addr, buf)
+	if err := c.checkLine(addr, buf); err != nil {
+		return err
 	}
-	for i := 0; i < len(buf); i += 8 {
-		var v uint64
-		for k := 0; k < 8 && i+k < len(buf); k++ {
-			v |= uint64(buf[i+k]) << (8 * k)
-		}
-		if _, err := c.Access(addr+uint64(i), 8, true, v, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Cache) writeLineFast(addr uint64, buf []byte) error {
 	if !c.enabled {
-		// The word loop's bypass would read-modify-write the backing
-		// line; a full-line overwrite makes the read redundant.
+		// Access's bypass would read-modify-write the backing line; a
+		// full-line overwrite makes the read redundant.
 		c.stats.Bypasses++
 		return c.backing.WriteLine(addr, buf) //voltvet:ignore VV-HOT006 deliberate backing seam: the next level is an L2 cache or DRAM, decided at wiring time; the dynamic zero-alloc gate covers both
 	}

@@ -432,6 +432,39 @@ func TestCacheAsBackingForInnerCache(t *testing.T) {
 	}
 }
 
+// TestLineTransferGeometryMismatchRejected pins that a line transfer
+// which is not exactly one aligned line of the serving cache fails
+// loudly, enabled or not, and leaves the cache and its backing untouched.
+func TestLineTransferGeometryMismatchRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"partial line", 0x1000, 32},
+		{"oversize", 0x1000, 128},
+		{"misaligned", 0x1008, 64},
+	}
+	for _, enabled := range []bool{true, false} {
+		for _, tc := range cases {
+			c, back, _ := newTestCache(t, paperL1D())
+			c.SetEnabled(enabled)
+			before := c.Stats()
+			buf := make([]byte, tc.n)
+			if err := c.ReadLine(tc.addr, buf); err == nil {
+				t.Errorf("enabled=%v %s: ReadLine returned nil", enabled, tc.name)
+			}
+			if err := c.WriteLine(tc.addr, buf); err == nil {
+				t.Errorf("enabled=%v %s: WriteLine returned nil", enabled, tc.name)
+			}
+			if c.Stats() != before || back.readCount != 0 || back.writeCount != 0 {
+				t.Errorf("enabled=%v %s: rejected transfer touched state: stats %+v -> %+v, backing reads %d writes %d",
+					enabled, tc.name, before, c.Stats(), back.readCount, back.writeCount)
+			}
+		}
+	}
+}
+
 func TestBackingErrorPropagates(t *testing.T) {
 	c, back, _ := newTestCache(t, paperL1D())
 	back.failReads = true

@@ -1,7 +1,5 @@
 package cache
 
-import "math/bits"
-
 // Snapshot support for the cache's non-SRAM state. The tag and data RAMs
 // are sram.Arrays and are captured by their own ArraySnapshots (the SoC
 // enumerates them via Arrays()); what remains here is the plain-memory
@@ -9,12 +7,11 @@ import "math/bits"
 // replays bit-identically: LRU timestamps (they decide eviction order),
 // the enable and way-lock configuration, and the hit/miss statistics.
 //
-// LRU timestamps are copy-on-write like the SRAM pages: touch marks its
-// set in a per-set dirty bitmap, and restoring the snapshot the bitmap
-// tracks (the capture-once, restore-per-trial loop) copies back only
-// the touched sets — O(touched sets), not O(ways × sets). Restoring any
-// other snapshot falls back to a full copy and re-arms the bitmap
-// against it, the same owner protocol sram's dirty pages use.
+// LRU timestamps are copy-on-write like the SRAM pages: lruDirty is a
+// dirty.Table whose pages are sets (internal/dirty documents the owner
+// protocol). touch marks its set, and restoring the owning snapshot (the
+// capture-once, restore-per-trial loop) copies back only the touched
+// sets — O(touched sets), not O(ways × sets).
 //
 // The way memo and contentGen are deliberately NOT captured: both are
 // derived state. contentGen stays monotonic — RestoreAux bumps it, so
@@ -45,36 +42,28 @@ func (c *Cache) CaptureAux() *AuxSnapshot {
 	for w := range c.lastUse {
 		s.lastUse[w] = append([]uint64(nil), c.lastUse[w]...)
 	}
-	clear(c.lruDirty)
+	c.lruDirty.Arm(c.sets)
 	c.lruOwner = s
 	return s
 }
 
 // RestoreAux rewinds the cache's plain-memory state to the captured
 // values, drops the way memo, and bumps the content generation. When s
-// owns the dirty-set bitmap only the sets touched since its capture or
-// last restore are copied back; otherwise every timestamp is, and the
-// bitmap is re-armed against s.
+// owns the dirty-set table only the sets touched since its capture or
+// last restore are copied back; otherwise every set is, and the table
+// passes to s.
 func (c *Cache) RestoreAux(s *AuxSnapshot) {
 	if s.c != c {
 		panic("cache: RestoreAux onto a different cache")
 	}
-	if c.lruOwner == s {
-		for i, word := range c.lruDirty {
-			for ; word != 0; word &= word - 1 {
-				set := i<<6 + bits.TrailingZeros64(word)
-				for w := range c.lastUse {
-					c.lastUse[w][set] = s.lastUse[w][set]
-				}
-			}
-			c.lruDirty[i] = 0
-		}
-	} else {
-		for w := range c.lastUse {
-			copy(c.lastUse[w], s.lastUse[w])
-		}
-		clear(c.lruDirty)
+	if c.lruOwner != s {
+		c.lruDirty.MarkAll()
 		c.lruOwner = s
+	}
+	for set, ok := c.lruDirty.Next(); ok; set, ok = c.lruDirty.Next() {
+		for w := range c.lastUse {
+			c.lastUse[w][set] = s.lastUse[w][set]
+		}
 	}
 	c.useTick = s.useTick
 	c.enabled = s.enabled

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/dirty"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -123,10 +124,10 @@ type Module struct {
 	unresolved int      // count of zero bits in resolved
 	outage     pendingOutage
 
-	// snapDirty, when non-nil, is the armed copy-on-write page table over
-	// data (see snapshot.go); snapOwner is the snapshot it tracks against.
-	// Derived state, not physics.
-	snapDirty []uint64
+	// snapDirty is the copy-on-write page table over data, armed by the
+	// first capture; snapOwner is the snapshot it tracks against (see
+	// snapshot.go). Derived state, not physics.
+	snapDirty dirty.Table
 	snapOwner *ModuleSnapshot
 }
 
@@ -375,7 +376,7 @@ func (m *Module) resolveSlow(off, n int) {
 	// Conservatively dirty the whole range for any armed snapshot: decay
 	// materialization rewrites bytes in place, and a per-decayed-byte mark
 	// would cost more than restoring a few extra clean pages.
-	m.markSnapRange(off, n)
+	m.snapDirty.Mark(off>>snapPageShift, (off+n-1)>>snapPageShift)
 	// Draw retention values only as far as this resolution reads. The
 	// module-wide certificates need the complete fill; with a partial one
 	// the per-byte predicate below decides each byte identically, just
@@ -491,7 +492,7 @@ func (m *Module) Write(off int, b []byte) {
 	m.check("Write", off, len(b))
 	m.gen++
 	m.markRange(off, len(b))
-	m.markSnapRange(off, len(b))
+	m.snapDirty.Mark(off>>snapPageShift, (off+len(b)-1)>>snapPageShift)
 	copy(m.data[off:], b)
 }
 
@@ -505,7 +506,7 @@ func (m *Module) WriteUintN(off, size int, v uint64) {
 	}
 	m.gen++
 	m.markRange(off, size)
-	m.markSnapRange(off, size)
+	m.snapDirty.Mark(off>>snapPageShift, (off+size-1)>>snapPageShift)
 	for i := 0; i < size; i++ {
 		m.data[off+i] = byte(v >> (8 * uint(i)))
 	}
@@ -558,7 +559,7 @@ func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	}
 	m.gen++
 	m.markRange(int(addr), len(buf))
-	m.markSnapRange(int(addr), len(buf))
+	m.snapDirty.Mark(int(addr)>>snapPageShift, (int(addr)+len(buf)-1)>>snapPageShift)
 	copy(m.data[addr:], buf)
 	return nil
 }

@@ -2,9 +2,10 @@ package dram
 
 // Copy-on-write snapshots for DRAM, the companion of sram's ArraySnapshot
 // (see internal/sram/snapshot.go for the sweep-loop rationale). Capture
-// copies the byte array once and arms a dirty-page bitmap; restore copies
-// back only pages a write or a deferred-decay materialization touched
-// since, then rewinds the power/outage scalars and the rng.
+// copies the byte array once and arms a dirty.Table over 4 KiB pages
+// (internal/dirty documents the owner protocol); restore copies back
+// only pages a write or a deferred-decay materialization touched since,
+// then rewinds the power/outage scalars and the rng.
 //
 // The lazy retention fill makes the rng rewind sufficient on its own:
 // logRetention values are drawn strictly in byte order from the module's
@@ -16,7 +17,6 @@ package dram
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -24,7 +24,10 @@ import (
 
 // snapPageBytes is the dirty-tracking granularity: coarse because trial
 // writes (payload load, dump regions) are contiguous multi-KB runs.
-const snapPageBytes = 4096
+const (
+	snapPageShift = 12
+	snapPageBytes = 1 << snapPageShift
+)
 
 // ModuleSnapshot is the captured state of one Module, bound to the
 // module it came from.
@@ -44,28 +47,6 @@ type ModuleSnapshot struct {
 	resolved   []uint64 // nil when no outage was pending at capture
 	unresolved int
 	outage     pendingOutage
-}
-
-// markSnapRange records that bytes [off, off+n) may have changed.
-func (m *Module) markSnapRange(off, n int) {
-	if m.snapDirty == nil || n <= 0 {
-		return
-	}
-	for p := off / snapPageBytes; p <= (off+n-1)/snapPageBytes; p++ {
-		m.snapDirty[p>>6] |= 1 << (uint(p) & 63)
-	}
-}
-
-// armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
-func (m *Module) armSnapDirty() {
-	npages := (len(m.data) + snapPageBytes - 1) / snapPageBytes
-	if m.snapDirty == nil {
-		m.snapDirty = make([]uint64, (npages+63)/64)
-		return
-	}
-	for i := range m.snapDirty {
-		m.snapDirty[i] = 0
-	}
 }
 
 // CaptureSnapshot records the module's complete observable state and
@@ -88,36 +69,26 @@ func (m *Module) CaptureSnapshot() *ModuleSnapshot {
 	if m.resolved != nil {
 		s.resolved = append([]uint64(nil), m.resolved...)
 	}
-	m.armSnapDirty()
+	m.snapDirty.Arm((len(m.data) + snapPageBytes - 1) >> snapPageShift)
 	m.snapOwner = s
 	return s
 }
 
 // RestoreSnapshot rewinds the module to the captured state: dirty data
-// pages only when s owns the armed bitmap, a full copy otherwise. The
+// pages only when s owns the dirty table, every page otherwise. The
 // generation counter is bumped, never rewound.
 func (m *Module) RestoreSnapshot(s *ModuleSnapshot) {
 	if s.mod != m {
 		panic(fmt.Sprintf("dram: RestoreSnapshot of %s onto %s", s.mod.name, m.name))
 	}
-	if m.snapDirty != nil && m.snapOwner == s {
-		n := len(m.data)
-		for i, word := range m.snapDirty {
-			for ; word != 0; word &= word - 1 {
-				p := i<<6 + bits.TrailingZeros64(word)
-				b0 := p * snapPageBytes
-				b1 := b0 + snapPageBytes
-				if b1 > n {
-					b1 = n
-				}
-				copy(m.data[b0:b1], s.data[b0:b1])
-			}
-			m.snapDirty[i] = 0
-		}
-	} else {
-		copy(m.data, s.data)
-		m.armSnapDirty()
+	if m.snapOwner != s {
+		m.snapDirty.MarkAll()
 		m.snapOwner = s
+	}
+	for p, ok := m.snapDirty.Next(); ok; p, ok = m.snapDirty.Next() {
+		b0 := p << snapPageShift
+		b1 := min(b0+snapPageBytes, len(m.data))
+		copy(m.data[b0:b1], s.data[b0:b1])
 	}
 	m.retFilled = s.retFilled
 	m.minLogRet = s.minLogRet

@@ -65,3 +65,32 @@ func TestModuleSnapshotRestoreAfterWrites(t *testing.T) {
 		t.Error("restored contents differ from capture")
 	}
 }
+
+// TestModuleSnapshotRestoreNonOwner checks the non-owner path: restoring
+// a snapshot the dirty table is not tracking against must copy every
+// page back and hand the table to the restored snapshot, so the next
+// owner restore rewinds through the dirty-page walk alone.
+func TestModuleSnapshotRestoreNonOwner(t *testing.T) {
+	env := sim.NewEnv()
+	m := NewModule(env, "snaptest", 64*1024, DefaultRetentionModel(), 0xabcd)
+	m.Write(0, bytes.Repeat([]byte{0x5A}, 64*1024))
+	snap1 := m.CaptureSnapshot()
+	ref1 := m.Read(0, m.Size())
+
+	m.Write(3*snapPageBytes+17, []byte{1, 1, 1})
+	m.CaptureSnapshot() // the table now tracks this newer snapshot
+
+	m.Write(9*snapPageBytes-2, []byte{2, 2, 2, 2}) // straddles pages 8/9
+	m.RestoreSnapshot(snap1)                       // non-owner: every page
+	if got := m.Read(0, m.Size()); !bytes.Equal(ref1, got) {
+		t.Fatal("non-owner restore is not bit-identical to its capture")
+	}
+
+	// snap1 owns the table now: a write after the fallback is rewound by
+	// the dirty-page walk.
+	m.WriteUintN(m.Size()-4, 4, 0x33333333)
+	m.RestoreSnapshot(snap1)
+	if got := m.Read(0, m.Size()); !bytes.Equal(ref1, got) {
+		t.Error("owner restore after the non-owner fallback is not bit-identical")
+	}
+}

@@ -6,8 +6,13 @@ import "fmt"
 // the L1 caches, L2, and on to DRAM or iRAM; the core index lets shared
 // levels attribute accesses correctly.
 type Bus interface {
-	// FetchInstr reads a 32-bit instruction word through the i-side.
-	FetchInstr(core int, addr uint64) (uint32, error)
+	// FetchDecoded fetches the instruction at addr through the i-side and
+	// returns it decoded, with the raw word for the undefined-instruction
+	// diagnostics. Its side effects and result are exactly those of
+	// reading the word and calling Decode; a bus may serve it from a
+	// predecode cache (the SoC keeps a generation-checked predecoded
+	// i-stream) so the hot path neither re-decodes nor re-reads the RAMs.
+	FetchDecoded(core int, addr uint64) (Instr, uint32, error)
 	// Load reads size bytes (1, 4, or 8) through the d-side, zero-extended.
 	Load(core int, addr uint64, size int) (uint64, error)
 	// Store writes the low size bytes of v through the d-side.
@@ -16,18 +21,6 @@ type Bus interface {
 	Load128(core int, addr uint64) ([2]uint64, error)
 	// Store128 writes 16 bytes (for VSTR).
 	Store128(core int, addr uint64, v [2]uint64) error
-}
-
-// DecodedBus is an optional Bus extension: a bus that can serve fetches
-// as already-decoded instructions from a predecode cache. Implementations
-// must be architecturally invisible — a FetchDecoded call has exactly the
-// side effects and result of FetchInstr followed by Decode, just without
-// re-decoding (or even re-reading the RAMs) on the hot path. The SoC
-// implements it with a generation-checked predecoded i-stream.
-type DecodedBus interface {
-	// FetchDecoded returns the decoded instruction and the raw word at
-	// addr (the word feeds the undefined-instruction diagnostics).
-	FetchDecoded(core int, addr uint64) (Instr, uint32, error)
 }
 
 // SysOps provides the system operations that reach beyond the register
@@ -102,9 +95,6 @@ type CPU struct {
 	Regs    RegBacking
 	BusPort Bus
 	Sys     SysOps
-	// decBus is BusPort's DecodedBus view when it has one, captured once
-	// at construction so Step avoids a per-instruction type assertion.
-	decBus DecodedBus
 
 	// Fault, when non-nil, is consulted before every instruction and may
 	// replace its execution with an injected fault (see FaultInjector).
@@ -140,14 +130,9 @@ type CPU struct {
 	NSLocked bool
 }
 
-// NewCPU builds a core with the given backing stores. A bus that also
-// implements DecodedBus gets its predecoded fetch path used by Step.
+// NewCPU builds a core with the given backing stores.
 func NewCPU(id int, regs RegBacking, bus Bus, sys SysOps) *CPU {
-	c := &CPU{ID: id, EL: 3, Regs: regs, BusPort: bus, Sys: sys}
-	if db, ok := bus.(DecodedBus); ok {
-		c.decBus = db
-	}
-	return c
+	return &CPU{ID: id, EL: 3, Regs: regs, BusPort: bus, Sys: sys}
 }
 
 // Reset prepares the core to run from entry at EL3 with cleared flags.
@@ -251,21 +236,9 @@ func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
 	}
-	var in Instr
-	var word uint32
-	if c.decBus != nil {
-		var err error
-		in, word, err = c.decBus.FetchDecoded(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
-		if err != nil {
-			return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
-		}
-	} else {
-		w, err := c.BusPort.FetchInstr(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
-		if err != nil {
-			return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
-		}
-		word = w
-		in = Decode(word)
+	in, word, err := c.BusPort.FetchDecoded(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
+	if err != nil {
+		return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
 	}
 	return c.ExecDecoded(in, word)
 }

@@ -25,11 +25,12 @@ func (b *flatBus) check(addr uint64, size int) error {
 	return nil
 }
 
-func (b *flatBus) FetchInstr(core int, addr uint64) (uint32, error) {
+func (b *flatBus) FetchDecoded(core int, addr uint64) (Instr, uint32, error) {
 	if err := b.check(addr, 4); err != nil {
-		return 0, err
+		return Instr{}, 0, err
 	}
-	return uint32(b.mem[addr]) | uint32(b.mem[addr+1])<<8 | uint32(b.mem[addr+2])<<16 | uint32(b.mem[addr+3])<<24, nil
+	word := uint32(b.mem[addr]) | uint32(b.mem[addr+1])<<8 | uint32(b.mem[addr+2])<<16 | uint32(b.mem[addr+3])<<24
+	return Decode(word), word, nil
 }
 
 func (b *flatBus) Load(core int, addr uint64, size int) (uint64, error) {

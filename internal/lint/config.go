@@ -46,7 +46,7 @@ func DefaultConfig() *Config {
 			"internal/sim", "internal/aes", "internal/puf",
 			"internal/xrand", "internal/analysis", "internal/experiments",
 			"internal/vimg", "internal/runner", "internal/glitch",
-			"internal/trace", "internal/sca",
+			"internal/trace", "internal/sca", "internal/dirty",
 		},
 		ServicePkgs: []string{
 			"internal/campaign", "internal/api", "internal/registry",

@@ -96,7 +96,10 @@ func TestDeterministicImportGraph(t *testing.T) {
 // formerHotpath is the hot path as it stood when the hand-written
 // per-function annotations were deleted: the 175 functions that carried
 // //voltvet:hotpath then, which was exactly the closure the roots reach,
-// less the three that left it when the simulator's event log was deleted.
+// less the three that left it when the simulator's event log was deleted
+// and the six folded away when the snapshot dirty bitmaps became one
+// dirty.Table and the cache's line-transfer fast paths became ReadLine
+// and WriteLine themselves.
 // It is frozen test data and a lower bound. The closure may grow as new
 // code goes hot; it must never shrink below this list, because the
 // allocation checks would then quietly stop covering a function the
@@ -124,12 +127,10 @@ var formerHotpath = []string{
 	"(*repro/internal/cache.Cache).lookup",
 	"(*repro/internal/cache.Cache).markDirty",
 	"(*repro/internal/cache.Cache).memoStore",
-	"(*repro/internal/cache.Cache).readLineFast",
 	"(*repro/internal/cache.Cache).setTagEntry",
 	"(*repro/internal/cache.Cache).tagEntry",
 	"(*repro/internal/cache.Cache).touch",
 	"(*repro/internal/cache.Cache).victim",
-	"(*repro/internal/cache.Cache).writeLineFast",
 	"(*repro/internal/dram.Module).PowerOff",
 	"(*repro/internal/dram.Module).PowerOn",
 	"(*repro/internal/dram.Module).Powered",
@@ -142,7 +143,6 @@ var formerHotpath = []string{
 	"(*repro/internal/dram.Module).ensureRetentionTo",
 	"(*repro/internal/dram.Module).groundByte",
 	"(*repro/internal/dram.Module).markRange",
-	"(*repro/internal/dram.Module).markSnapRange",
 	"(*repro/internal/dram.Module).resolveAll",
 	"(*repro/internal/dram.Module).resolveRange",
 	"(*repro/internal/dram.Module).resolveSlow",
@@ -220,13 +220,10 @@ var formerHotpath = []string{
 	"(*repro/internal/sram.Array).WriteBytes",
 	"(*repro/internal/sram.Array).WriteUint64",
 	"(*repro/internal/sram.Array).WriteUintN",
-	"(*repro/internal/sram.Array).armSnapDirty",
 	"(*repro/internal/sram.Array).cellStatics",
 	"(*repro/internal/sram.Array).checkAccess",
 	"(*repro/internal/sram.Array).imprintPowerUp",
 	"(*repro/internal/sram.Array).logDecayThreshold",
-	"(*repro/internal/sram.Array).markSnapAll",
-	"(*repro/internal/sram.Array).markSnapPages",
 	"(*repro/internal/sram.Array).mode2Memo",
 	"(*repro/internal/sram.Array).newBiasSampler",
 	"(*repro/internal/sram.Array).powerUpAll",

@@ -210,7 +210,6 @@ type SoC struct {
 }
 
 var _ isa.Bus = (*SoC)(nil)
-var _ isa.DecodedBus = (*SoC)(nil)
 var _ isa.SysOps = (*SoC)(nil)
 
 // SetTraceSink attaches (or, with nil, detaches) the power-trace sink
@@ -608,18 +607,18 @@ func (s *SoC) writeDRAMDirect(addr uint64, w uint32) error {
 	return nil
 }
 
-// FetchInstr implements isa.Bus: instruction fetches go through the
-// core's L1I for cacheable memory.
+// FetchInstr reads the instruction word at addr the full way, through
+// the core's L1I for cacheable memory: FetchDecoded's miss path.
 func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 	v, err := s.access(core, addr, 4, false, 0, true)
 	return uint32(v), err
 }
 
-// FetchDecoded implements isa.DecodedBus: the predecoded i-stream fast
-// path. A hit returns the cached decode while replaying exactly the side
-// effects the full fetch would have had — the TLB/BTB history writes and
-// the serving cache's hit counter and LRU touch — so the architectural
-// and microarchitectural state evolve bit-identically to FetchInstr +
+// FetchDecoded implements isa.Bus through the predecoded i-stream. A hit
+// returns the cached decode while replaying exactly the side effects the
+// full fetch would have had — the TLB/BTB history writes and the serving
+// cache's hit counter and LRU touch — so the architectural and
+// microarchitectural state evolve bit-identically to FetchInstr +
 // Decode. The generation stamp guarantees the hit is sound: if no
 // guarding counter moved since install, the same level would serve the
 // same word from the same (way, set) today.

@@ -2,17 +2,14 @@ package sram
 
 // Copy-on-write snapshots: a sweep captures an array's full state once
 // after the expensive boot-and-fill prefix, then restores it before each
-// trial in O(dirty pages) instead of O(array size).
-//
-// The mechanism is a page table over the packed storage words. Capturing
-// a snapshot copies the bits eagerly (one O(n) copy amortized over every
-// trial of the sweep) and arms a dirty-page bitmap on the array: one bit
-// per snapPageWords-word page, set by every write path that can touch the
-// page. Restoring copies back only the dirty pages, resets the physics
-// scalars and the rng to their captured values, and re-arms the bitmap
-// for the next trial. Physics events (power-up fingerprints, decay
-// resolution) and Fill rewrite most of the array, so they mark every
-// page at once rather than paying a per-word branch in the kernels.
+// trial in O(dirty pages) instead of O(array size). Capturing copies the
+// bits eagerly and arms a dirty.Table over snapPageWords-word pages; the
+// owner protocol (arm on capture, drain on restore, mark-all on a
+// non-owner restore) is documented in internal/dirty. Architectural
+// writes mark their word range; physics events (power-up fingerprints,
+// decay resolution) and Fill rewrite most of the array, so they mark
+// every page at once rather than paying a per-word branch in the
+// kernels.
 //
 // Determinism contract: a restored array is bit-identical to the array
 // at capture time — same contents, same rail/decay scalars, same rng
@@ -27,7 +24,6 @@ package sram
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -39,6 +35,7 @@ import (
 const (
 	snapPageShift = 6 // log2(words per page)
 	snapPageWords = 1 << snapPageShift
+	snapByteShift = snapPageShift + 3 // log2(bytes per page)
 )
 
 // ArraySnapshot is the captured state of one Array. It is bound to the
@@ -60,47 +57,6 @@ type ArraySnapshot struct {
 	// nil when the array had no overlay at capture time.
 	imprinted []uint64
 	value     []uint64
-}
-
-// markSnapPages records that packed words [w0, w1] may have changed. The
-// nil check is the entire cost when no snapshot is armed, which keeps
-// the architectural write paths on their zero-allocation budget.
-func (a *Array) markSnapPages(w0, w1 int) {
-	if a.snapDirty == nil {
-		return
-	}
-	for p := w0 >> snapPageShift; p <= w1>>snapPageShift; p++ {
-		a.snapDirty[p>>6] |= 1 << (uint(p) & 63)
-	}
-}
-
-// markSnapAll dirties every page — the physics kernels and Fill rewrite
-// most of the array, so per-word tracking would cost more than it saves.
-// The final bitmap word is masked to the real page count: restore walks
-// set bits, and a phantom page past the array would walk off the end.
-func (a *Array) markSnapAll() {
-	if a.snapDirty == nil {
-		return
-	}
-	for i := range a.snapDirty {
-		a.snapDirty[i] = ^uint64(0)
-	}
-	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
-	if tail := uint(npages) & 63; tail != 0 {
-		a.snapDirty[len(a.snapDirty)-1] = 1<<tail - 1
-	}
-}
-
-// armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
-func (a *Array) armSnapDirty() {
-	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
-	if a.snapDirty == nil {
-		a.snapDirty = make([]uint64, (npages+63)/64)
-		return
-	}
-	for i := range a.snapDirty {
-		a.snapDirty[i] = 0
-	}
 }
 
 // CaptureSnapshot records the array's complete state — contents, rail
@@ -125,41 +81,31 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 		s.imprinted = append([]uint64(nil), a.imprint.imprinted...)
 		s.value = append([]uint64(nil), a.imprint.value...)
 	}
-	a.armSnapDirty()
+	a.snapDirty.Arm((len(a.bits) + snapPageWords - 1) >> snapPageShift)
 	a.snapOwner = s
 	return s
 }
 
-// RestoreSnapshot rewinds the array to the captured state. When s is the
-// snapshot the dirty bitmap is tracking against (the common sweep loop:
-// capture once, restore per trial), only dirty pages are copied back;
-// restoring an older snapshot falls back to a full copy and re-arms
-// tracking against s. The content generation is bumped, not rewound, so
-// stamps handed out after the capture can never falsely validate.
+// RestoreSnapshot rewinds the array to the captured state. When s owns
+// the dirty table (the common sweep loop: capture once, restore per
+// trial), only dirty pages are copied back; restoring any other
+// snapshot copies every page and hands the table to s. The content
+// generation is bumped, not rewound, so stamps handed out after the
+// capture can never falsely validate.
 //
 //voltvet:hotpath
 func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	if s.arr != a {
 		panic(fmt.Sprintf("sram: RestoreSnapshot of %s onto %s", s.arr.name, a.name))
 	}
-	if a.snapDirty != nil && a.snapOwner == s {
-		nw := len(a.bits)
-		for i, word := range a.snapDirty {
-			for ; word != 0; word &= word - 1 {
-				p := i<<6 + bits.TrailingZeros64(word)
-				w0 := p << snapPageShift
-				w1 := w0 + snapPageWords
-				if w1 > nw {
-					w1 = nw
-				}
-				copy(a.bits[w0:w1], s.bits[w0:w1])
-			}
-			a.snapDirty[i] = 0
-		}
-	} else {
-		copy(a.bits, s.bits)
-		a.armSnapDirty()
+	if a.snapOwner != s {
+		a.snapDirty.MarkAll()
 		a.snapOwner = s
+	}
+	for p, ok := a.snapDirty.Next(); ok; p, ok = a.snapDirty.Next() {
+		w0 := p << snapPageShift
+		w1 := min(w0+snapPageWords, len(a.bits))
+		copy(a.bits[w0:w1], s.bits[w0:w1])
 	}
 	a.railVolts = s.railVolts
 	a.belowSince = s.belowSince

@@ -9,8 +9,8 @@ import (
 
 // snapTestBits is sized so the dirty bitmap has both a partial final
 // page (1563 words is not a multiple of 64) and a partial final bitmap
-// word (25 pages < 64), exercising the two clamp paths in markSnapAll
-// and RestoreSnapshot.
+// word (25 pages < 64), exercising the tail mask in dirty.Table.MarkAll
+// and the final-page clamp in RestoreSnapshot.
 const snapTestBits = 1563 * 64
 
 func newSnapTestArray(t *testing.T, seed uint64) (*sim.Env, *Array) {
@@ -48,7 +48,7 @@ func TestSnapshotRestoreAfterWrites(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAfterPowerCycle checks the markSnapAll path (the
+// TestSnapshotRestoreAfterPowerCycle checks the mark-all path (the
 // power cycle rewrites the whole array) and rng-stream rewind: two
 // identical outages replayed from the same snapshot must decay to
 // byte-identical images.
@@ -131,7 +131,7 @@ func BenchmarkSnapshotRestoreFull(b *testing.B) {
 	snap := arr.CaptureSnapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arr.markSnapAll()
+		arr.snapDirty.MarkAll()
 		arr.RestoreSnapshot(snap)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/dirty"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -156,12 +157,11 @@ type Array struct {
 	gen uint64
 	// imprint is the lazily allocated aging overlay (see imprint.go).
 	imprint *imprintState
-	// snapDirty, when non-nil, is the armed copy-on-write page table:
-	// one bit per snapPageWords-word page, set by every write path that
-	// can change the page since the owning snapshot was captured (see
-	// snapshot.go). snapOwner identifies the snapshot the bitmap tracks
-	// against. Derived state, not physics.
-	snapDirty []uint64
+	// snapDirty is the copy-on-write page table over bits, one page per
+	// snapPageWords words, armed by the first capture; snapOwner is the
+	// snapshot it tracks against (see snapshot.go). Derived state, not
+	// physics.
+	snapDirty dirty.Table
 	snapOwner *ArraySnapshot
 	// m2Biased/m2Pref memoize phase A of the mode-2 batch kernel: the
 	// per-word biased-cell and preferred-value masks, pure functions of
@@ -264,7 +264,7 @@ func (a *Array) SetRail(volts float64) {
 	case !a.everPowered && isUp:
 		// First power-on of the die: whole array boots into fingerprint.
 		a.gen++
-		a.markSnapAll()
+		a.snapDirty.MarkAll()
 		a.powerUpAll()
 		a.everPowered = true
 		a.decaying = false
@@ -280,7 +280,7 @@ func (a *Array) SetRail(volts float64) {
 		}
 	case !wasUp && isUp && a.decaying:
 		a.gen++
-		a.markSnapAll()
+		a.snapDirty.MarkAll()
 		a.resolveDecay()
 		a.decaying = false
 	}
@@ -309,7 +309,7 @@ func (a *Array) checkAccess(op string) {
 func (a *Array) WriteBit(i int, v bool) {
 	a.checkAccess("WriteBit")
 	a.gen++
-	a.markSnapPages(i>>6, i>>6)
+	a.snapDirty.Mark(i>>(6+snapPageShift), i>>(6+snapPageShift))
 	a.setBit(i, v)
 }
 
@@ -337,7 +337,7 @@ func (a *Array) WriteBytes(off int, b []byte) {
 		panic(fmt.Sprintf("sram: WriteBytes out of range on %s: off=%d len=%d size=%dB", a.name, off, len(b), a.Bytes()))
 	}
 	a.gen++
-	a.markSnapPages(off>>3, (off+len(b)-1)>>3)
+	a.snapDirty.Mark(off>>snapByteShift, (off+len(b)-1)>>snapByteShift)
 	i, j := 0, off
 	for ; i < len(b) && j&7 != 0; i++ { // head: reach word alignment
 		a.storeByte(j, b[i])
@@ -386,7 +386,7 @@ func (a *Array) WriteUint64(off int, v uint64) {
 		panic(fmt.Sprintf("sram: WriteUint64 out of range on %s: off=%d size=%dB", a.name, off, a.Bytes()))
 	}
 	a.gen++
-	a.markSnapPages(off>>3, (off+7)>>3)
+	a.snapDirty.Mark(off>>snapByteShift, (off+7)>>snapByteShift)
 	w := off >> 3
 	shift := 8 * uint(off&7)
 	if shift == 0 {
@@ -445,7 +445,7 @@ func (a *Array) WriteUintN(off, size int, v uint64) {
 	}
 	v &= mask
 	a.gen++
-	a.markSnapPages(off>>3, (off+size-1)>>3)
+	a.snapDirty.Mark(off>>snapByteShift, (off+size-1)>>snapByteShift)
 	w := off >> 3
 	shift := 8 * uint(off&7)
 	a.bits[w] = (a.bits[w] &^ (mask << shift)) | v<<shift
@@ -508,7 +508,7 @@ func (a *Array) ReadBytesInto(off int, dst []byte) {
 func (a *Array) Fill(v byte) {
 	a.checkAccess("Fill")
 	a.gen++
-	a.markSnapAll()
+	a.snapDirty.MarkAll()
 	splat := uint64(v) * 0x0101010101010101
 	nbytes := a.Bytes()
 	nwords := nbytes / 8

@@ -1,8 +1,10 @@
 #!/bin/sh
-# CI gate: gofmt, vet, build, race-enabled tests (the parallel runner's
-# determinism tests raise GOMAXPROCS themselves, so a single-core CI
-# machine still exercises multi-worker execution), and a one-iteration
-# smoke over the hot-path micro-benchmarks. Equivalent to `make check`.
+# CI gate: gofmt, vet, voltvet, build, the perfbench module's tests,
+# race-enabled tests (the parallel runner's determinism tests raise
+# GOMAXPROCS themselves, so a single-core CI machine still exercises
+# multi-worker execution), a one-iteration smoke over the hot-path
+# micro-benchmarks, and the allocation-free gates. `make check` runs
+# this script.
 set -eu
 cd "$(dirname "$0")/.."
 
