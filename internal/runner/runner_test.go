@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +99,31 @@ func TestMapPanicPropagates(t *testing.T) {
 			})
 		}()
 	}
+}
+
+//go:noinline
+func panickingTrial(i int) (int, error) { panic(fmt.Sprint("trial ", i)) }
+
+// TestMapSerialPanicKeepsTrialStack: with one worker the trial runs on
+// the calling goroutine, and its panic unwinds through the caller with
+// the failing trial's frame still on the stack, so a serial rerun of a
+// crashing sweep points at the trial rather than at the scheduler.
+func TestMapSerialPanicKeepsTrialStack(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r != "trial 3" {
+			t.Fatalf("recovered %v, want \"trial 3\"", r)
+		}
+		if stack := string(debug.Stack()); !strings.Contains(stack, "runner.panickingTrial") {
+			t.Fatalf("panic stack lost the failing trial's frame:\n%s", stack)
+		}
+	}()
+	_, _ = Map(context.Background(), 5, 1, func(i int) (int, error) {
+		if i == 3 {
+			return panickingTrial(i)
+		}
+		return i, nil
+	})
 }
 
 // TestMapEmptyAndSmall: degenerate sizes.
